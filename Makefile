@@ -2,7 +2,7 @@ GO ?= go
 BENCH_DURATION ?= 1s
 BENCH_DATE := $(shell date +%Y-%m-%d)
 
-.PHONY: all build test race vet fuzz ci obs-smoke trace-smoke bench-range bench-xact bench-durable bench-recovery bench-batch bench-json profile benchdiff
+.PHONY: all build test race vet fuzz ci obs-smoke trace-smoke perfbench-smoke bench-range bench-xact bench-durable bench-recovery bench-batch bench-json profile benchdiff
 
 all: build
 
@@ -36,6 +36,17 @@ obs-smoke:
 # group-commit fsync.
 trace-smoke:
 	$(GO) test -run TestTraceEndpointSmoke -count=1 -v .
+
+# Benchmark self-check. perfbench is its own module (perfbench/go.mod), so
+# the root `go test ./...` never runs its latency-recorder and model tests:
+# run them, then a 2 s write-skew run whose checks must all pass, then the
+# same run with one key dropped behind the checks' back (--corrupt key),
+# which must fail with exit code 1 — proof the checks can fail.
+perfbench-smoke:
+	cd perfbench && $(GO) test ./...
+	python3 perfbench/run.py --workload write-skew --seed 1 --seconds 2 --trace 0 > /dev/null
+	python3 perfbench/run.py --workload write-skew --seed 1 --seconds 2 --trace 0 --corrupt key > /dev/null; \
+		code=$$?; if [ $$code -ne 1 ]; then echo "perfbench-smoke: --corrupt key exited $$code, want 1" >&2; exit 1; fi
 
 vet:
 	$(GO) vet ./...
@@ -154,4 +165,4 @@ profile:
 benchdiff:
 	$(GO) run ./cmd/benchdiff $(BENCHDIFF_FLAGS) $(BASE) $(NEW)
 
-ci: build vet test race fuzz obs-smoke trace-smoke
+ci: build vet test race fuzz obs-smoke trace-smoke perfbench-smoke

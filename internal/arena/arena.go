@@ -178,25 +178,50 @@ func (a *Arena) Alloc(key, val uint64) Ref {
 		a.freeHead = a.get(r).nextFree
 		a.reuses.Add(1)
 	} else {
-		r = a.next
-		ci := r >> chunkBits
-		if ci >= maxChunks {
-			// Off the hot path, so a formatted message is affordable: the
-			// fixed chunk directory is a hard capacity cap, and a bare
-			// index-out-of-range panic here would be opaque.
-			a.mu.Unlock()
-			panic(fmt.Sprintf("arena: capacity exceeded: %d chunks × %d nodes (%d nodes); shard the workload across more arenas",
-				maxChunks, chunkSize, uint64(maxChunks)*chunkSize))
-		}
-		a.next++
+		r = a.bumpLocked(1)
+	}
+	a.mu.Unlock()
+	a.allocs.Add(1)
+	a.init(r, key, val)
+	return r
+}
+
+// allocRun reserves n > 0 consecutive fresh slots and returns the first.
+// Fresh slots were never handed out, so they are still zero from their
+// chunk's allocation; the caller fills them in before use.
+func (a *Arena) allocRun(n int) Ref {
+	a.mu.Lock()
+	first := a.bumpLocked(n)
+	a.mu.Unlock()
+	a.allocs.Add(uint64(n))
+	return first
+}
+
+// bumpLocked takes n fresh slots off the bump pointer, growing the chunk
+// directory as needed, and returns the first. Caller holds mu.
+func (a *Arena) bumpLocked(n int) Ref {
+	first := a.next
+	last := first + uint64(n) - 1
+	if last>>chunkBits >= maxChunks {
+		// Off the hot path, so a formatted message is affordable: the
+		// fixed chunk directory is a hard capacity cap, and a bare
+		// index-out-of-range panic here would be opaque.
+		a.mu.Unlock()
+		panic(fmt.Sprintf("arena: capacity exceeded: %d chunks × %d nodes (%d nodes); shard the workload across more arenas",
+			maxChunks, chunkSize, uint64(maxChunks)*chunkSize))
+	}
+	a.next = last + 1
+	for ci := first >> chunkBits; ci <= last>>chunkBits; ci++ {
 		if a.chunkPtr[ci].Load() == nil {
 			a.chunkPtr[ci].Store(&chunk{})
 			a.nChunks.Store(ci + 1)
 		}
 	}
-	a.mu.Unlock()
-	a.allocs.Add(1)
+	return first
+}
 
+// init sets a node the caller privately owns to Alloc's initial state.
+func (a *Arena) init(r Ref, key, val uint64) {
 	n := a.Get(r)
 	n.Key.SetPlain(key)
 	n.Val.SetPlain(val)
@@ -210,28 +235,13 @@ func (a *Arena) Alloc(key, val uint64) Ref {
 	n.RightH.Store(0)
 	n.LocalH.Store(1)
 	n.Hint.Store(0)
-	return r
 }
 
 // Reinit resets a node the caller privately owns (allocated but never
 // published) to the same state Alloc would produce for (key, val). It lets
 // operations preallocate one scratch node and retarget it across retries of
 // an enclosing transaction.
-func (a *Arena) Reinit(r Ref, key, val uint64) {
-	n := a.Get(r)
-	n.Key.SetPlain(key)
-	n.Val.SetPlain(val)
-	n.L.SetPlain(Nil)
-	n.R.SetPlain(Nil)
-	n.P.SetPlain(Nil)
-	n.Del.SetPlain(0)
-	n.Rem.SetPlain(RemFalse)
-	n.Aux.SetPlain(0)
-	n.LeftH.Store(0)
-	n.RightH.Store(0)
-	n.LocalH.Store(1)
-	n.Hint.Store(0)
-}
+func (a *Arena) Reinit(r Ref, key, val uint64) { a.init(r, key, val) }
 
 // get resolves without the Nil check; caller holds the mutex or owns r.
 func (a *Arena) get(r Ref) *Node {

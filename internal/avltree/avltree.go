@@ -37,6 +37,20 @@ func New(s *stm.STM) *Tree {
 	return &Tree{s: s, ar: arena.New()}
 }
 
+// Build bulk-loads an empty tree that no other goroutine can reach yet
+// from pairs sorted by strictly increasing key: a balanced tree linked
+// with no transactions or rotations (arena.Build), each node's exact
+// height in Aux. It panics on a non-empty tree and on unsorted pairs.
+func (t *Tree) Build(pairs []arena.KV) {
+	if t.root.Plain() != arena.Nil {
+		panic("avltree: Build on a non-empty tree")
+	}
+	root, _ := t.ar.Build(pairs, func(_ arena.Ref, n *arena.Node, _, lh, rh int) {
+		n.Aux.SetPlain(uint64(1 + max(lh, rh)))
+	})
+	t.root.SetPlain(root)
+}
+
 // Arena exposes the node arena for instrumentation.
 func (t *Tree) Arena() *arena.Arena { return t.ar }
 

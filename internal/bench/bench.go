@@ -559,7 +559,7 @@ func runForest(o Options) Result {
 			panic(err)
 		}
 		res.RecoveryNanos = uint64(time.Since(t0).Nanoseconds())
-		res.RecoveredPairs = len(rec.State)
+		res.RecoveredPairs = rec.Pairs
 		res.RecoveryAppliers = rec.Appliers
 		res.RecoveryDeltas = rec.ChainDeltas
 		l2.Close()

@@ -211,17 +211,21 @@ func (o Options) recoveryAppliers(shards int) int {
 	return max(1, n)
 }
 
-// Source is the in-memory store a Log checkpoints: per-shard consistent
-// snapshots cut at a commit-clock position. forest.Forest implements it.
-// SnapshotShard is called by one checkpointer at a time (never
-// concurrently with itself).
+// Source is the in-memory store a Log checkpoints: per-shard snapshots cut
+// at a commit-clock position. forest.Forest implements it. SnapshotShard
+// is called by one checkpointer at a time (never concurrently with
+// itself).
 type Source interface {
 	// Shards reports the number of partitions.
 	Shards() int
-	// SnapshotShard streams one consistent snapshot of shard si through fn
-	// and returns the shard-clock position the snapshot was cut at: every
-	// transaction that published at or below it is included, everything
-	// later excluded.
+	// SnapshotShard streams a snapshot of shard si through fn and returns
+	// the shard-clock position the snapshot was cut at: every transaction
+	// that published at or below it is included. A transaction published
+	// later may be included too, wholly or in part, provided its record
+	// has been appended to the log by the time SnapshotShard returns; the
+	// log syncs those records before it seals the checkpoint, and recovery
+	// replays every record above the cut in per-key order with absolute
+	// effects, so each key converges to its final value either way.
 	SnapshotShard(si int, fn func(k, v uint64)) uint64
 }
 
@@ -233,10 +237,10 @@ type Source interface {
 // store-sized reads). forest.Forest implements it.
 type DeltaSource interface {
 	Source
-	// SnapshotShardKeys reads the given keys of shard si under one
-	// consistent snapshot, calling fn(k, v, true) for each present key and
-	// fn(k, 0, false) for each absent one (in the order given), and
-	// returns the shard-clock position the snapshot was cut at.
+	// SnapshotShardKeys reads the given keys of shard si, calling
+	// fn(k, v, true) for each present key and fn(k, 0, false) for each
+	// absent one (in the order given), and returns the shard-clock
+	// position the snapshot was cut at, under SnapshotShard's contract.
 	SnapshotShardKeys(si int, keys []uint64, fn func(k, v uint64, ok bool)) uint64
 }
 
@@ -283,6 +287,14 @@ type Log struct {
 	dir    string
 	o      Options
 	shards int
+
+	// syncMu serializes Sync's fsync, which runs outside mu so appends
+	// never wait on the disk, with segment rotation and Close, so the file
+	// it syncs is never closed or replaced under it. Lock order: ckptMu,
+	// syncMu, mu.
+	syncMu sync.Mutex
+	// fsync syncs a segment file (tests swap it to block one fsync).
+	fsync func(*os.File) error
 
 	mu       sync.Mutex
 	f        *os.File
@@ -353,7 +365,7 @@ func Open(dir string, shards int, o Options) (*Log, *Recovery, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	l := &Log{dir: dir, o: o, shards: shards, seg: maxSeg, nextGen: maxGen + 1}
+	l := &Log{dir: dir, o: o, shards: shards, seg: maxSeg, nextGen: maxGen + 1, fsync: (*os.File).Sync}
 	if o.deltas() {
 		l.dirtyKeys = freshDirty(shards)
 	}
@@ -618,61 +630,128 @@ func (l *Log) setErrLocked(err error) {
 }
 
 // flushSyncLocked flushes the buffered writer and fsyncs the segment if
-// anything reached it since the last sync. Caller holds mu. Flush and
-// fsync failures wedge the segment (post-failure write state is unknown);
-// the next rotation un-wedges onto a fresh file.
+// anything reached it since the last sync, all under mu: the per-append
+// fsync of Options.Sync, the MaxUnsynced stall and rotation use it. Caller
+// holds mu. Flush and fsync failures wedge the segment (post-failure write
+// state is unknown); the next rotation un-wedges onto a fresh file.
 func (l *Log) flushSyncLocked() {
-	if l.w.Buffered() > 0 {
-		if err := l.w.Flush(); err != nil {
-			l.setErrLocked(err)
-			l.wedged = true
-			l.pendN = 0 // durability unknown: drop the pending spans
-			return
-		}
-		l.st.Flushes++
+	if !l.flushLocked() {
+		return
 	}
 	if l.dirty {
-		var t0 time.Time
-		if l.syncH != nil {
-			t0 = time.Now()
-		}
-		if err := l.f.Sync(); err != nil {
-			l.setErrLocked(err)
-			l.wedged = true
-			l.pendN = 0
+		t0 := time.Now()
+		if err := l.fsync(l.f); err != nil {
+			l.syncFailedLocked(err)
 			return
 		}
-		if l.syncH != nil {
-			l.syncH.Record(uint64(time.Since(t0)))
-		}
-		l.st.Syncs++
+		l.syncedLocked(t0)
 		l.dirty = false
 	}
 	l.unsynced = 0
-	if l.pendN > 0 {
-		// Every pending record is now durable: close its append→fsync span.
-		// Under Sync this fires inline per append; under group commit a whole
-		// window's traced records share this fsync's end instant.
-		now := time.Now().UnixNano()
-		for i := 0; i < l.pendN; i++ {
-			p := &l.pend[i]
-			l.tracer.Record(p.id, obs.SpanWALAppend, obs.OpNone, p.at, now, p.shard, p.bytes)
-		}
-		l.pendN = 0
+	l.closeSpansLocked(l.pend[:l.pendN])
+	l.pendN = 0
+}
+
+// flushLocked hands the buffered records to the OS, reporting false (the
+// segment wedged) when the write fails. Caller holds mu.
+func (l *Log) flushLocked() bool {
+	if l.w.Buffered() == 0 {
+		return true
+	}
+	if err := l.w.Flush(); err != nil {
+		l.syncFailedLocked(err)
+		return false
+	}
+	l.st.Flushes++
+	return true
+}
+
+// syncFailedLocked wedges the segment after a failed flush or fsync and
+// drops the pending spans, whose durability is now unknown. Caller holds mu.
+func (l *Log) syncFailedLocked(err error) {
+	l.setErrLocked(err)
+	l.wedged = true
+	l.pendN = 0
+}
+
+// syncedLocked counts one fsync that began at t0. Caller holds mu.
+func (l *Log) syncedLocked(t0 time.Time) {
+	if l.syncH != nil {
+		l.syncH.Record(uint64(time.Since(t0)))
+	}
+	l.st.Syncs++
+}
+
+// closeSpansLocked closes the append→fsync span of every traced record in
+// spans, now durable: under Sync this fires inline per append; under group
+// commit a whole window's traced records share the fsync's end instant.
+// Caller holds mu.
+func (l *Log) closeSpansLocked(spans []pendSpan) {
+	if len(spans) == 0 {
+		return
+	}
+	now := time.Now().UnixNano()
+	for i := range spans {
+		p := &spans[i]
+		l.tracer.Record(p.id, obs.SpanWALAppend, obs.OpNone, p.at, now, p.shard, p.bytes)
 	}
 }
 
 // Sync flushes and fsyncs the live segment (the group committer's tick,
-// callable directly for an explicit durability point). It returns the
-// log's sticky error state.
+// callable directly for an explicit durability point): every record
+// appended before the call is durable when it returns. Only the flush
+// holds the append lock; the fsync runs outside it, so appends proceed
+// while the disk works. It returns the log's sticky error state.
 func (l *Log) Sync() error {
+	if err := l.sync(); err == errClosed {
+		return err
+	}
+	return l.Err()
+}
+
+// sync is Sync reporting its own outcome: nil when every record appended
+// before the call is durable, otherwise why not (the log is closed, the
+// segment is wedged, or this flush or fsync failed).
+func (l *Log) sync() error {
+	l.syncMu.Lock()
+	defer l.syncMu.Unlock()
 	l.mu.Lock()
-	defer l.mu.Unlock()
 	if l.closed {
+		l.mu.Unlock()
 		return errClosed
 	}
-	l.flushSyncLocked()
-	return l.err
+	if l.wedged || !l.flushLocked() || !l.dirty {
+		err := l.err
+		if !l.wedged {
+			err = nil
+			l.unsynced = 0
+		}
+		l.mu.Unlock()
+		return err
+	}
+	// The flushed records are this fsync's: take their pending spans and
+	// reset the dirty state, so appends made while it runs count towards
+	// the next one.
+	var spans [len(l.pend)]pendSpan
+	n := copy(spans[:], l.pend[:l.pendN])
+	l.pendN = 0
+	l.dirty = false
+	l.unsynced = 0
+	f := l.f // stable: rotation and Close take syncMu
+	l.mu.Unlock()
+
+	t0 := time.Now()
+	err := l.fsync(f)
+
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if err != nil {
+		l.syncFailedLocked(err)
+		return err
+	}
+	l.syncedLocked(t0)
+	l.closeSpansLocked(spans[:n])
+	return nil
 }
 
 // committer is the group-commit loop.
@@ -720,10 +799,13 @@ func (l *Log) checkpoint(src Source, truncate bool) error {
 	// positions, so the snapshot covers the old segments entirely. The
 	// dirty capture happens in the same critical section as the rotation,
 	// so the captured set is exactly (a superset of) the keys of every
-	// record in the segments below the new base.
+	// record in the segments below the new base. syncMu keeps an
+	// out-of-lock Sync off the segment being closed.
+	l.syncMu.Lock()
 	l.mu.Lock()
 	if l.closed {
 		l.mu.Unlock()
+		l.syncMu.Unlock()
 		return errClosed
 	}
 	dirtyCount := 0
@@ -736,6 +818,7 @@ func (l *Log) checkpoint(src Source, truncate bool) error {
 			// the (empty) live tail already describe the store exactly.
 			l.st.SkippedCheckpoints++
 			l.mu.Unlock()
+			l.syncMu.Unlock()
 			return nil
 		}
 	}
@@ -760,11 +843,13 @@ func (l *Log) checkpoint(src Source, truncate bool) error {
 		l.setErrLocked(err)
 		l.restoreDirtyLocked(captured)
 		l.mu.Unlock()
+		l.syncMu.Unlock()
 		return err
 	}
 	l.st.Rotations++
 	l.fr.Record(obs.EvWALRotate, 0, int64(base), 0)
 	l.mu.Unlock()
+	l.syncMu.Unlock()
 
 	var err error
 	var fileBytes, pairCount int
@@ -823,6 +908,9 @@ func (l *Log) writeFullGeneration(src Source, gen, base uint64) (bytes, pairs in
 		cuts[si] = src.SnapshotShard(si, func(k, v uint64) {
 			kvs = append(kvs, kvPair{k: k, v: v})
 		})
+	}
+	if err := l.sync(); err != nil {
+		return 0, 0, err
 	}
 	n, err := writeCheckpoint(l.dir, l.shards, gen, base, cuts, kvs)
 	if err != nil {
@@ -886,6 +974,9 @@ func (l *Log) writeDeltaGeneration(src Source, gen, base uint64, captured []map[
 		}
 		groups = append(groups, deltaGroup{shard: si, entries: entries})
 		total += len(entries)
+	}
+	if err := l.sync(); err != nil {
+		return 0, 0, err
 	}
 	parent := l.chain[len(l.chain)-1].gen
 	db := encodeDelta(deltaFile{shards: l.shards, gen: gen, parentGen: parent, baseSeg: base, cuts: cuts, groups: groups})
@@ -970,6 +1061,8 @@ func (l *Log) Close() error {
 		<-l.committerDone
 		l.committerStop = nil
 	}
+	l.syncMu.Lock()
+	defer l.syncMu.Unlock()
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {

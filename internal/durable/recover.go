@@ -16,8 +16,11 @@ import (
 type Recovery struct {
 	// State is the recovered key/value map: the newest provably-complete
 	// checkpoint chain (full base plus deltas) with the surviving WAL tail
-	// replayed over it.
+	// replayed over it. The caller loads it into its store and may then
+	// drop it (repro.Open does); Pairs keeps its size.
 	State map[uint64]uint64
+	// Pairs is the number of recovered pairs, len(State) at recovery.
+	Pairs int
 	// CheckpointGen is the tip generation of the chain loaded (0 when the
 	// directory held none).
 	CheckpointGen uint64
@@ -461,6 +464,7 @@ func recoverDir(dir string, shards, appliers int) (*Recovery, uint64, uint64, er
 		rec.OpsApplied += parts[w].applied
 		rec.OpsSkipped += parts[w].skipped
 	}
+	rec.Pairs = len(rec.State)
 	rec.Elapsed = time.Since(start)
 	return rec, maxSeg, maxGen, nil
 }

@@ -48,6 +48,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/arena"
 	"repro/internal/durable"
 	"repro/internal/ftx"
 	"repro/internal/obs"
@@ -172,38 +173,76 @@ func (f *Forest) AttachWAL(l *durable.Log) {
 	f.wal = l
 }
 
-// SnapshotShard implements durable.Source: one consistent read-only
-// snapshot of shard si streamed through fn, returning the shard-clock
-// position the snapshot was cut at. Single-caller (the checkpoint driver).
+// snapshotChunk bounds the pairs (or looked-up keys) one checkpoint
+// snapshot transaction reads. A whole-shard read-only transaction under
+// hot-key writers retries until no writer commits across its entire scan —
+// thousands of attempts per checkpoint on a skewed workload — while a chunk
+// of this size commits within a few attempts.
+const snapshotChunk = 512
+
+// SnapshotShard implements durable.Source: shard si streamed through fn in
+// ascending key order, one read-only transaction per chunk of up to
+// snapshotChunk pairs (each chunk resumes just above the previous chunk's
+// last key), returning the first chunk's snapshot position as the cut. fn
+// is fed each chunk after its transaction commits. Single-caller (the
+// checkpoint driver).
+//
+// Why the chunked read is a sound checkpoint although the chunks are cut
+// at different clock positions: every chunk reads at or above the cut, so
+// each pair holds the key's value at the cut or a later one, and recovery
+// replays every logged record above the cut in per-key position order
+// with absolute effects — a key read late converges to the same final
+// value as one read at the cut. The log rotated before the first chunk
+// drew its position, so the segments a checkpoint truncates hold only
+// records at or below the cut, all of whose effects every chunk sees.
+// What a late chunk can see beyond the cut is a transaction whose other
+// effects an earlier chunk missed; such a transaction must not be lost by
+// a crash right after the seal, so before returning, SnapshotShard waits
+// until every operation in flight on the shard has finished — its WAL
+// append runs inside the operation, before the thread's completed-op
+// counter moves — and the log syncs the appended records before it seals
+// the checkpoint (durable.Source).
 func (f *Forest) SnapshotShard(si int, fn func(k, v uint64)) uint64 {
 	sh := f.shards[si]
 	th := f.ckptThread(si)
 	var cut uint64
-	var snap []kv
-	// Full read tracking (CTL) regardless of the domain default, so the
-	// snapshot is one consistent cut; fn is fed only after the snapshot
-	// transaction commits (retries reset the buffer).
-	th.AtomicMode(stm.CTL, func(tx *stm.Tx) {
-		snap = snap[:0]
-		sh.m.RangeTx(tx, 0, ^uint64(0), func(k, v uint64) bool {
-			snap = append(snap, kv{k, v})
-			return true
+	snap := make([]kv, 0, snapshotChunk)
+	lo := uint64(0)
+	for chunk := 0; ; chunk++ {
+		var done bool
+		// Full read tracking (CTL) regardless of the domain default, so
+		// each chunk is one consistent cut; retries reset the buffer.
+		th.AtomicMode(stm.CTL, func(tx *stm.Tx) {
+			snap = snap[:0]
+			done = sh.m.RangeTx(tx, lo, ^uint64(0), func(k, v uint64) bool {
+				snap = append(snap, kv{k, v})
+				return len(snap) < snapshotChunk
+			})
+			if chunk == 0 {
+				cut = tx.Snapshot()
+			}
 		})
-		cut = tx.Snapshot()
-	})
-	for _, e := range snap {
-		fn(e.k, e.v)
+		for _, e := range snap {
+			fn(e.k, e.v)
+		}
+		if done || len(snap) == 0 || snap[len(snap)-1].k == ^uint64(0) {
+			if chunk > 0 {
+				awaitInflight(sh.stm, th)
+			}
+			return cut
+		}
+		lo = snap[len(snap)-1].k + 1
 	}
-	return cut
 }
 
-// SnapshotShardKeys implements durable.DeltaSource: one consistent read of
-// just the given keys in shard si — present keys report their value, absent
-// ones report ok=false — returning the shard-clock position the lookup
-// transaction was cut at. This is what makes a delta checkpoint's cost
-// proportional to churn: the checkpointer reads only the keys the write-
-// ahead log marked dirty, never scanning the shard. Single-caller (the
-// checkpoint driver), like SnapshotShard.
+// SnapshotShardKeys implements durable.DeltaSource: a read of just the
+// given keys in shard si — present keys report their value, absent ones
+// report ok=false — in chunks of up to snapshotChunk keys, one read-only
+// transaction each, returning the first chunk's snapshot position as the
+// cut (sound for the reasons SnapshotShard gives). This is what makes a
+// delta checkpoint's cost proportional to churn: the checkpointer reads
+// only the keys the write-ahead log marked dirty, never scanning the
+// shard. Single-caller (the checkpoint driver), like SnapshotShard.
 func (f *Forest) SnapshotShardKeys(si int, keys []uint64, fn func(k, v uint64, ok bool)) uint64 {
 	sh := f.shards[si]
 	th := f.ckptThread(si)
@@ -212,20 +251,76 @@ func (f *Forest) SnapshotShardKeys(si int, keys []uint64, fn func(k, v uint64, o
 		k, v uint64
 		ok   bool
 	}
-	snap := make([]kvOK, 0, len(keys))
-	// Full read tracking (CTL) for the same reason as SnapshotShard: the
-	// per-key reads must form one consistent cut, and fn is fed only after
-	// the transaction commits (retries reset the buffer).
-	th.AtomicMode(stm.CTL, func(tx *stm.Tx) {
-		snap = snap[:0]
-		for _, k := range keys {
-			v, ok := sh.m.GetTx(tx, k)
-			snap = append(snap, kvOK{k, v, ok})
+	snap := make([]kvOK, 0, min(len(keys), snapshotChunk))
+	for start := 0; start < len(keys); start += snapshotChunk {
+		chunk := keys[start:min(start+snapshotChunk, len(keys))]
+		// Full read tracking (CTL), as in SnapshotShard; fn is fed only
+		// after the chunk's transaction commits (retries reset the buffer).
+		th.AtomicMode(stm.CTL, func(tx *stm.Tx) {
+			snap = snap[:0]
+			for _, k := range chunk {
+				v, ok := sh.m.GetTx(tx, k)
+				snap = append(snap, kvOK{k, v, ok})
+			}
+			if start == 0 {
+				cut = tx.Snapshot()
+			}
+		})
+		for _, e := range snap {
+			fn(e.k, e.v, e.ok)
 		}
-		cut = tx.Snapshot()
-	})
-	for _, e := range snap {
-		fn(e.k, e.v, e.ok)
+	}
+	if len(keys) > snapshotChunk {
+		awaitInflight(sh.stm, th)
+	}
+	return cut
+}
+
+// awaitInflight returns once every operation that was in flight on the
+// domain s at the call has finished: each thread (but self) that is inside
+// an operation now has completed it or gone idle — the §3.4 collector's
+// pending-flag and completed-op counter epoch. A single-shard transaction
+// runs its WAL append before its operation completes, so afterwards the
+// log holds the record of every transaction a snapshot chunk could see.
+func awaitInflight(s *stm.STM, self *stm.Thread) {
+	for _, th := range s.Threads() {
+		if th == self || !th.Pending() {
+			continue
+		}
+		ops := th.OpCount()
+		for th.Pending() && th.OpCount() == ops {
+			runtime.Gosched()
+		}
+	}
+}
+
+// RunsSource returns the durable.Source of a forest just built from runs
+// (WithContents) on which no logged transaction has committed yet: shard
+// si's snapshot is runs[si] as given, cut at the shard's current clock.
+// The cut is sound because every transaction that commits later publishes
+// above the clock value read now (a commit draws its position from the
+// clock after taking its locks), so recovery replays exactly the records
+// written after this checkpoint. A checkpoint sealed from it holds the
+// same pairs, in the same order, as one SnapshotShard would read from the
+// fresh trees — without re-reading them.
+func (f *Forest) RunsSource(runs [][]arena.KV) durable.Source {
+	if len(runs) != len(f.shards) {
+		panic(fmt.Sprintf("forest: %d runs for %d shards", len(runs), len(f.shards)))
+	}
+	return runsSource{f: f, runs: runs}
+}
+
+type runsSource struct {
+	f    *Forest
+	runs [][]arena.KV
+}
+
+func (s runsSource) Shards() int { return len(s.runs) }
+
+func (s runsSource) SnapshotShard(si int, fn func(k, v uint64)) uint64 {
+	cut := s.f.shards[si].stm.Now()
+	for _, p := range s.runs[si] {
+		fn(p.K, p.V)
 	}
 	return cut
 }
@@ -261,6 +356,7 @@ type cfg struct {
 	yieldEvery   int
 	batchN       int
 	batchWait    time.Duration
+	contents     [][]arena.KV
 }
 
 // WithShards sets the number of partitions (default 1; must be >= 1).
@@ -362,6 +458,69 @@ func WithBatching(n int, wait time.Duration) Option {
 	}
 }
 
+// WithContents builds the forest from runs — runs[i] the pairs of shard i
+// sorted by key, as Runs routes them — before the maintenance pool starts:
+// each shard's tree is bulk-loaded balanced in its arena
+// (trees.Map.Build), with no transactions, rotations or hints. A built
+// tree has nothing to repair, so each shard's fallback sweeps start at the
+// longest sweep gap instead of the shortest. New panics when len(runs)
+// differs from the shard count.
+func WithContents(runs [][]arena.KV) Option { return func(c *cfg) { c.contents = runs } }
+
+// Runs routes the pairs of state to the shards of an n-shard forest and
+// sorts each shard's run by key: the input of WithContents, and the
+// snapshot RunsSource serves.
+func Runs(n int, state map[uint64]uint64) [][]arena.KV {
+	runs := make([][]arena.KV, n)
+	for i := range runs {
+		// Hash routing spreads keys evenly; the slack absorbs the skew
+		// without a regrowth copy.
+		runs[i] = make([]arena.KV, 0, len(state)/n+len(state)/(8*n)+1)
+	}
+	for k, v := range state {
+		si := shardOf(k, n)
+		runs[si] = append(runs[si], arena.KV{K: k, V: v})
+	}
+	for i := range runs {
+		runs[i] = sortRun(runs[i])
+	}
+	return runs
+}
+
+// sortRun sorts run by key, returning the sorted slice (run itself or a
+// buffer of the same length): an LSD radix sort over the key bytes that
+// vary — two passes for keys below 2^16 — which measured several times
+// faster than a comparison sort's n·log n indirect compares on recovered
+// shards.
+func sortRun(run []arena.KV) []arena.KV {
+	var bits uint64
+	for _, p := range run {
+		bits |= p.K
+	}
+	src, dst := run, make([]arena.KV, len(run))
+	for shift := 0; shift < 64 && bits>>shift != 0; shift += 8 {
+		var count [256]int
+		for _, p := range src {
+			count[byte(p.K>>shift)]++
+		}
+		if count[byte(src[0].K>>shift)] == len(src) {
+			continue // every key shares this byte
+		}
+		pos := 0
+		for d, c := range count {
+			count[d] = pos
+			pos += c
+		}
+		for _, p := range src {
+			d := byte(p.K >> shift)
+			dst[count[d]] = p
+			count[d]++
+		}
+		src, dst = dst, src
+	}
+	return src
+}
+
 // New creates an empty forest of the given tree kind. Unless
 // WithoutMaintenance is given, kinds with maintenance are serviced by a
 // shared pool of maintenance workers started immediately (WithMaintWorkers
@@ -373,6 +532,9 @@ func New(kind trees.Kind, opts ...Option) *Forest {
 	}
 	if c.shards < 1 {
 		panic(fmt.Sprintf("forest: shard count %d < 1", c.shards))
+	}
+	if c.contents != nil && len(c.contents) != c.shards {
+		panic(fmt.Sprintf("forest: %d content runs for %d shards", len(c.contents), c.shards))
 	}
 	if c.maintWorkers == 0 {
 		c.maintWorkers = defaultMaintWorkers(c.shards)
@@ -387,13 +549,18 @@ func New(kind trees.Kind, opts ...Option) *Forest {
 	for i := range f.shards {
 		s := stm.New(stm.WithMode(c.mode), stm.WithContentionManager(c.cm), stm.WithYield(c.yieldEvery))
 		sh := &shard{stm: s, m: trees.New(kind, s)}
+		sweepGap, firstSweep := sweepGapMin, now
+		if c.contents != nil {
+			sh.m.Build(c.contents[i])
+			sweepGap, firstSweep = sweepGapMax, now+int64(sweepGapMax)
+		}
 		if c.batchN > 1 {
 			sh.comb = newCombiner(c.batchN, c.batchWait)
 		}
 		if mt, ok := trees.HintMaintainedOf(sh.m); ok {
 			sh.mt = mt
-			sh.sweepGap.Store(int64(sweepGapMin))
-			sh.nextSweep.Store(now)
+			sh.sweepGap.Store(int64(sweepGap))
+			sh.nextSweep.Store(firstSweep)
 			sh.pacing.Store(int64(c.maintPacing))
 			maintained = true
 		}
@@ -481,11 +648,14 @@ func mix(k uint64) uint64 {
 }
 
 // ShardOf returns the index of the shard owning key k.
-func (f *Forest) ShardOf(k uint64) int {
-	if len(f.shards) == 1 {
+func (f *Forest) ShardOf(k uint64) int { return shardOf(k, len(f.shards)) }
+
+// shardOf routes key k among n shards.
+func shardOf(k uint64, n int) int {
+	if n == 1 {
 		return 0
 	}
-	return int(mix(k) % uint64(len(f.shards)))
+	return int(mix(k) % uint64(n))
 }
 
 // SameShard reports whether k1 and k2 are co-located, i.e. whether a

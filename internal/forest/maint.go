@@ -69,8 +69,8 @@ type PoolStats struct {
 	Grows   uint64
 	Shrinks uint64
 	// BusyNanos is the cumulative time workers spent draining hints and
-	// sweeping; utilization over a window of length d with w workers is
-	// BusyNanos / (w·d).
+	// sweeping, excluding the time sweeps spent yielded; utilization over
+	// a window of length d with w workers is BusyNanos / (w·d).
 	BusyNanos uint64
 	// Wakeups counts idle workers woken by a hint-arrival notification.
 	Wakeups uint64
@@ -331,7 +331,7 @@ func (p *maintPool) scan() bool {
 		if !sh.claim.CompareAndSwap(false, true) {
 			continue // another worker is driving this shard right now
 		}
-		t0 := time.Now()
+		t0, y0 := time.Now(), sh.mt.YieldNanos()
 		hints, work := 0, 0
 		if backlog {
 			hints, work = sh.mt.DrainHints(maintBatch)
@@ -364,8 +364,10 @@ func (p *maintPool) scan() bool {
 			sh.nextSweep.Store(time.Now().UnixNano() + gap)
 			work += w
 		}
+		// Busy time excludes the sweep's yields: descheduled is not
+		// working, and sizePolicy must see the real utilization.
+		p.f.pc.busyNanos.Add(uint64(time.Since(t0)) - (sh.mt.YieldNanos() - y0))
 		sh.claim.Store(false)
-		p.f.pc.busyNanos.Add(uint64(time.Since(t0)))
 		if hints > 0 || work > 0 {
 			busy = true
 		}

@@ -43,6 +43,35 @@ func New(s *stm.STM) *Tree {
 	return &Tree{s: s, ar: arena.New()}
 }
 
+// Build bulk-loads an empty tree that no other goroutine can reach yet
+// from pairs sorted by strictly increasing key: a balanced tree linked
+// with no transactions or rotations (arena.Build), with parent links set
+// and every node black except those on the deepest level, which are red
+// (a one-node tree's root stays black). Splitting at the middle leaves
+// every external position within one level of the deepest, so each
+// root-to-leaf path crosses height-1 black nodes. It panics on a
+// non-empty tree and on unsorted pairs.
+func (t *Tree) Build(pairs []arena.KV) {
+	if t.root.Plain() != arena.Nil {
+		panic("rbtree: Build on a non-empty tree")
+	}
+	h := arena.BuildHeight(len(pairs))
+	root, _ := t.ar.Build(pairs, func(r arena.Ref, n *arena.Node, depth, _, _ int) {
+		if l := n.L.Plain(); l != arena.Nil {
+			t.node(l).P.SetPlain(r)
+		}
+		if c := n.R.Plain(); c != arena.Nil {
+			t.node(c).P.SetPlain(r)
+		}
+		if depth == h && depth > 1 {
+			n.Aux.SetPlain(red)
+		} else {
+			n.Aux.SetPlain(black)
+		}
+	})
+	t.root.SetPlain(root)
+}
+
 // Arena exposes the node arena for instrumentation.
 func (t *Tree) Arena() *arena.Arena { return t.ar }
 

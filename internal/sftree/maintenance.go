@@ -109,7 +109,7 @@ func (t *Tree) maintLoop() {
 	sweepGap := SweepGapMin
 	nextSweep := time.Now()
 	for !t.stop.Load() {
-		t0 := time.Now()
+		t0, y0 := time.Now(), t.yieldNanos
 		hints, work := t.DrainHints(MaintHintBatch)
 		if !t0.Before(nextSweep) {
 			w := t.RunMaintenancePass()
@@ -121,7 +121,8 @@ func (t *Tree) maintLoop() {
 			}
 			nextSweep = time.Now().Add(sweepGap)
 		}
-		t.busyNanos.Add(uint64(time.Since(t0)))
+		// Busy time excludes the sweep's yields: descheduled is not working.
+		t.busyNanos.Add(uint64(time.Since(t0)) - (t.yieldNanos - y0))
 		if hints > 0 || work > 0 {
 			continue // stay hot while there is work
 		}
@@ -154,6 +155,12 @@ func (t *Tree) RunMaintenancePass() int {
 	t.passes.Add(1)
 	return work + freed
 }
+
+// YieldNanos reports the cumulative time maintenance traversals spent
+// yielded to other goroutines (the runtime.Gosched every maintYieldStride
+// nodes), so a driver can subtract it from its busy time. Single-driver,
+// like RunMaintenancePass.
+func (t *Tree) YieldNanos() uint64 { return t.yieldNanos }
 
 // Quiesce drains maintenance work — queued hints and full passes — until a
 // round does no structural work (or maxPasses is hit), leaving the tree
@@ -200,7 +207,9 @@ func (t *Tree) maintain(parentRef arena.Ref, leftChild bool, ref arena.Ref) (int
 	}
 	t.maintVisits++
 	if t.maintVisits%maintYieldStride == 0 {
+		y0 := time.Now()
 		runtime.Gosched()
+		t.yieldNanos += uint64(time.Since(y0))
 	}
 	n := t.node(ref)
 	// Physical removal (§3.2): logically deleted nodes with at most one

@@ -78,7 +78,7 @@ type Stats struct {
 	HintsCoalesced  uint64 // hints folded into an already-queued one (dedup bit)
 	HintsDropped    uint64 // hints discarded because the queue was full
 	TargetedRepairs uint64 // hints consumed by targeted repair transactions
-	BusyNanos       uint64 // time the tree's own maintenance loop spent working
+	BusyNanos       uint64 // time the tree's own maintenance loop spent working, yields excluded
 }
 
 // Add accumulates o into s (aggregation across the shards of a forest).
@@ -142,9 +142,11 @@ type Tree struct {
 	// maintenance goroutine that a concurrent Stop/Close meant to end.
 	stopEpoch atomic.Uint64
 
-	// maintVisits counts nodes visited by maintenance traversals; it is
-	// only touched by the single maintenance driver (see maintYieldStride).
+	// maintVisits counts nodes visited by maintenance traversals and
+	// yieldNanos the time they spent yielded; both are only touched by the
+	// single maintenance driver (see maintYieldStride).
 	maintVisits uint64
+	yieldNanos  uint64
 	// repairPath is the reusable descent buffer of targeted repairs; like
 	// maintVisits it is touched only by the single maintenance driver.
 	repairPath []pathEnt
@@ -223,6 +225,30 @@ func New(s *stm.STM, opts ...Option) *Tree {
 	// commits/aborts from the semantic operations'.
 	t.maintTh.MarkStructural()
 	return t
+}
+
+// Build bulk-loads an empty tree that no other goroutine can reach yet
+// from pairs sorted by strictly increasing key: the nodes are linked as a
+// balanced tree with no transactions, rotations or hints (arena.Build), and
+// every node's height estimates are set exact, so maintenance finds
+// nothing to repair. It panics on a non-empty tree, on unsorted pairs and
+// on the reserved MaxKey.
+func (t *Tree) Build(pairs []arena.KV) {
+	rootN := t.node(t.root)
+	if rootN.L.Plain() != arena.Nil {
+		panic("sftree: Build on a non-empty tree")
+	}
+	if len(pairs) > 0 {
+		checkKey(pairs[len(pairs)-1].K)
+	}
+	sub, h := t.ar.Build(pairs, func(_ arena.Ref, n *arena.Node, _, lh, rh int) {
+		n.LeftH.Store(int32(lh))
+		n.RightH.Store(int32(rh))
+		n.LocalH.Store(int32(1 + max(lh, rh)))
+	})
+	rootN.L.SetPlain(sub)
+	rootN.LeftH.Store(int32(h))
+	rootN.LocalH.Store(int32(h + 1))
 }
 
 // Variant reports which algorithm the tree runs.

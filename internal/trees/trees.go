@@ -8,6 +8,7 @@ package trees
 import (
 	"fmt"
 
+	"repro/internal/arena"
 	"repro/internal/avltree"
 	"repro/internal/nrtree"
 	"repro/internal/rbtree"
@@ -47,6 +48,12 @@ type Map interface {
 	// enclosing transaction retries, so it must reset any accumulator at
 	// the point the transaction function restarts.
 	RangeTx(tx *stm.Tx, lo, hi uint64, fn func(k, v uint64) bool) bool
+
+	// Build bulk-loads an empty tree from pairs sorted by strictly
+	// increasing key, as a balanced tree with exact balance information
+	// and no transactions (arena.Build). The tree must not yet be
+	// reachable by any other goroutine; Build panics on a non-empty tree.
+	Build(pairs []arena.KV)
 }
 
 // Maintained is implemented by trees with a background maintenance thread
@@ -78,6 +85,10 @@ type HintMaintained interface {
 	// SetMaintNotify registers a non-blocking callback invoked whenever a
 	// hint is enqueued (nil disables).
 	SetMaintNotify(fn func())
+	// YieldNanos reports the cumulative time the driver spent yielded to
+	// other goroutines inside RunMaintenancePass, so schedulers can keep
+	// descheduled time out of their busy accounting.
+	YieldNanos() uint64
 }
 
 // HintMaintainedOf returns m's hint-maintenance surface when the tree

@@ -57,7 +57,6 @@ package repro
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"time"
 
@@ -350,11 +349,16 @@ func Open(dir string, kind Kind, opts ...Option) (*Tree, error) {
 	// A durable tree always runs on the forest path, whatever the shard
 	// count: with one shard a forest is semantically identical to the bare
 	// tree, and the WAL, checkpoint and cross-shard plumbing then have one
-	// surface. Replay the recovered state before attaching the log (the
-	// replay must not re-log itself), then seal a fresh checkpoint so the
-	// old log generation — whose record positions belong to the previous
-	// process's clocks — is truncated and the cuts rebased.
+	// surface. The recovered pairs are routed to their shards, sorted, and
+	// bulk-built into balanced trees before the log is attached and the
+	// maintenance pool starts (no transactions, nothing to re-log or
+	// repair). A fresh checkpoint sealed from the same sorted runs then
+	// truncates the old log generation — whose record positions belong to
+	// the previous process's clocks — and rebases the cuts.
+	runs := forest.Runs(cfg.shards, rec.State)
+	rec.State = nil // the runs hold the pairs now; keep the map collectable
 	fopts := []forest.Option{
+		forest.WithContents(runs),
 		forest.WithShards(cfg.shards),
 		forest.WithTMMode(cfg.mode),
 		forest.WithContentionManager(cfg.cm),
@@ -372,9 +376,8 @@ func Open(dir string, kind Kind, opts ...Option) (*Tree, error) {
 		fopts = append(fopts, forest.WithBatching(cfg.batchN, cfg.batchWait))
 	}
 	f := forest.New(kind, fopts...)
-	reload(f, rec.State)
 	f.AttachWAL(l)
-	if err := l.Checkpoint(f); err != nil {
+	if err := l.Checkpoint(f.RunsSource(runs)); err != nil {
 		l.Close()
 		f.Close()
 		return nil, err
@@ -461,55 +464,14 @@ func (t *Tree) ObsAddr() string {
 	return t.obsSrv.Addr()
 }
 
-// reload rebuilds the recovered state into the fresh forest — in parallel
-// when it is big enough to matter, one inserter goroutine per slice of the
-// state with its own handle (handles are per-goroutine; the shards'
-// per-key transactions make concurrent inserts safe). This is the second
-// half of segment-parallel recovery: the durable layer replays the WAL
-// across partitioned appliers, and the reload spreads the resulting map
-// across the forest's shard domains the same way.
-func reload(f *forest.Forest, state map[uint64]uint64) {
-	const parallelMin = 1 << 12
-	workers := min(f.Shards(), runtime.GOMAXPROCS(0))
-	if len(state) < parallelMin || workers < 2 {
-		h := f.NewHandle()
-		for k, v := range state {
-			h.Insert(k, v)
-		}
-		return
-	}
-	type kv struct{ k, v uint64 }
-	chunks := make([][]kv, workers)
-	per := len(state)/workers + 1
-	i := 0
-	for k, v := range state {
-		w := i / per
-		chunks[w] = append(chunks[w], kv{k, v})
-		i++
-	}
-	var wg sync.WaitGroup
-	for _, chunk := range chunks {
-		if len(chunk) == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(chunk []kv) {
-			defer wg.Done()
-			h := f.NewHandle()
-			for _, e := range chunk {
-				h.Insert(e.k, e.v)
-			}
-		}(chunk)
-	}
-	wg.Wait()
-}
-
 // Durable returns the tree's write-ahead log for instrumentation (byte and
 // record counters, explicit Sync) — nil for a tree created with NewTree.
 func (t *Tree) Durable() *durable.Log { return t.dlog }
 
 // Recovery reports what Open reconstructed from the directory (the zero
-// value for volatile trees and fresh directories).
+// value for volatile trees and fresh directories). Its State map is nil:
+// Open drops it once the pairs are built into the tree, and Pairs keeps
+// their count.
 func (t *Tree) Recovery() durable.Recovery { return t.recovery }
 
 // Checkpoint seals one consistent checkpoint of the whole tree and
