@@ -118,9 +118,10 @@ bench-batch:
 # the single-thread sf-opt hot-path baselines (update 20 and 10) that the
 # cmd/benchdiff regression gate keys on — single-thread rows are the
 # meaningful ones on small CI hosts, where multi-thread numbers are mostly
-# scheduler noise. The next rows compare the single-domain tree, the
-# sharded forest with the default pool, and the sharded forest with an
-# explicitly small pool on the skewed (Zipf) workload — the configuration
+# scheduler noise. The next rows compare the one-shard forest (the paper's
+# single-domain tree), the sharded forest with the default pool, and the
+# sharded forest with an explicitly small pool on the skewed (Zipf)
+# workload — the configuration
 # the sub-linear-maintenance-CPU claim is about (see the maint_* CSV
 # columns); then the multi-key transfer workload at shards 1 and 8 (see
 # the xact_* columns) and a durable (WAL-attached) point, followed by the

@@ -20,6 +20,7 @@ import (
 	"testing"
 
 	"repro/internal/bench"
+	"repro/internal/forest"
 	"repro/internal/sftree"
 	"repro/internal/stm"
 	"repro/internal/trees"
@@ -35,48 +36,52 @@ const benchWorkers = 8
 const yieldEvery = 8
 
 // runTreeBench executes b.N operations of the given workload spread over
-// benchWorkers goroutines against a freshly filled tree.
+// benchWorkers goroutines against a freshly filled one-shard forest — the
+// paper's single-domain tree, as repro.NewTree builds it. The STM metrics
+// sum the workers' own handles, so the fill and the maintenance worker stay
+// out of them.
 func runTreeBench(b *testing.B, kind trees.Kind, mode stm.Mode, wl bench.Workload) {
 	b.Helper()
-	s := stm.New(stm.WithMode(mode), stm.WithYield(yieldEvery), stm.WithContentionManager(stm.Suicide()))
-	m := trees.New(kind, s)
-	fillTh := s.NewThread()
+	f := forest.New(kind, forest.WithTMMode(mode), forest.WithYield(yieldEvery),
+		forest.WithContentionManager(stm.Suicide()))
+	defer f.Close()
+	fill := f.NewHandle()
 	rng := rand.New(rand.NewSource(17))
 	// Shuffled fill: even the never-rebalancing tree must start from an
 	// ordinary random BST, not the linked list a sorted fill would build.
 	for _, k := range rng.Perm(int(wl.KeyRange)) {
 		if rng.Intn(2) == 0 {
-			m.Insert(fillTh, uint64(k), uint64(k))
+			fill.Insert(uint64(k), uint64(k))
 		}
 	}
-	trees.Quiesce(m, 1<<20)
-	stop := trees.Start(m)
-	defer stop()
+	f.Quiesce(1 << 20)
 
 	var seq atomic.Int64
-	runners := make([]*bench.Runner, 0, benchWorkers)
+	handles := make([]*forest.Handle, 0, benchWorkers)
 	var mu sync.Mutex
 	b.ResetTimer()
 	b.SetParallelism(benchWorkers) // workers per GOMAXPROCS
 	b.RunParallel(func(pb *testing.PB) {
-		r := bench.NewRunner(m, s.NewThread(), wl, 100+seq.Add(1))
+		h := f.NewHandle()
 		mu.Lock()
-		runners = append(runners, r)
+		handles = append(handles, h)
 		mu.Unlock()
+		r := bench.NewTargetRunner(h, wl, 100+seq.Add(1))
 		for pb.Next() {
 			r.Step()
 		}
 	})
 	b.StopTimer()
+	f.Close() // quiet the maintenance worker before reading thread counters
 	var st stm.Stats
-	for _, r := range runners {
-		st.Add(r.Thread().Stats())
+	for _, h := range handles {
+		st.Add(h.Stats())
 	}
 	b.ReportMetric(float64(st.MaxOpReads), "maxreads/op")
 	if st.Commits+st.Aborts > 0 {
 		b.ReportMetric(float64(st.Aborts)/float64(b.N), "aborts/op")
 	}
-	if rot, ok := trees.Rotations(m); ok {
+	if rot, ok := f.Rotations(); ok {
 		b.ReportMetric(float64(rot), "rotations")
 	}
 }
@@ -271,7 +276,7 @@ func BenchmarkAblationMaintenanceCoupling(b *testing.B) {
 		b.ResetTimer()
 		b.SetParallelism(benchWorkers)
 		b.RunParallel(func(pb *testing.PB) {
-			r := bench.NewRunner(tr, s.NewThread(), wl, 900+seq.Add(1))
+			r := bench.NewTargetRunner(sfTarget{tr: tr, th: s.NewThread()}, wl, 900+seq.Add(1))
 			for pb.Next() {
 				r.Step()
 			}
@@ -287,6 +292,21 @@ func BenchmarkAblationMaintenanceCoupling(b *testing.B) {
 	b.Run("distributed", func(b *testing.B) { run(b, false) })
 	b.Run("coupled", func(b *testing.B) { run(b, true) })
 }
+
+// sfTarget drives a bare speculation-friendly tree for the coupling
+// ablation, the one benchmark that needs the tree's own sweep entry points
+// rather than a forest's maintenance pool. Its workload only inserts,
+// deletes and looks up; the embedded nil Target leaves the composed
+// operations unimplemented.
+type sfTarget struct {
+	bench.Target
+	tr *sftree.Tree
+	th *stm.Thread
+}
+
+func (t sfTarget) Insert(k, v uint64) bool { return t.tr.Insert(t.th, k, v) }
+func (t sfTarget) Delete(k uint64) bool    { return t.tr.Delete(t.th, k) }
+func (t sfTarget) Contains(k uint64) bool  { return t.tr.Contains(t.th, k) }
 
 // BenchmarkAblationContentionManagement compares the STM acquirement
 // policies on an identical update-heavy tree workload (CTL vs ETL vs

@@ -46,8 +46,7 @@
 // written across checkpoint/delta/manifest files), ckpt_dirty_frac (mean
 // dirty fraction per delta), wal_stalls/wal_dropped (group-commit
 // backpressure), and recovery_ns/recovery_appliers/recovery_deltas for the
-// timed segment-parallel recovery. A durable run always uses the forest
-// path (shards=1 becomes a one-shard forest, as repro.Open arranges).
+// timed segment-parallel recovery.
 //
 // -obs serves the live observability endpoint on the given address for the
 // duration of the run: Prometheus text on /metrics (every layer's counter,
@@ -61,12 +60,14 @@
 // the hammer window) and goroutines (live count at the window's end) on
 // every run, -obs or not.
 //
-// -maint-workers sizes the shared maintenance worker pool of a sharded run
-// (0 = the forest default, min(shards, GOMAXPROCS/2)); the CSV reports the
-// maintenance-efficiency columns — hints emitted/coalesced/dropped,
-// targeted repairs vs full sweeps, pool busy time and worker utilization —
-// so the sub-linear-maintenance-CPU claim of hint-driven maintenance is
-// verifiable from the output alone. -maint-pacing sweeps the per-shard
+// Every run hammers a forest; -shards 1 (the default) is a one-shard forest,
+// the paper's single-domain tree with one maintenance worker.
+// -maint-workers sizes the shared maintenance worker pool (0 = the forest
+// default, min(shards, GOMAXPROCS/2); never more than one worker per
+// shard); the CSV reports the maintenance-efficiency columns — hints
+// emitted/coalesced/dropped, targeted repairs vs full sweeps, pool busy
+// time and worker utilization — so the sub-linear-maintenance-CPU claim of
+// hint-driven maintenance is verifiable from the output alone. -maint-pacing sweeps the per-shard
 // hint-drain pacing gap (forest.WithMaintPacing; 0 keeps the 2ms default).
 //
 // One aggregate CSV row is always printed; with -shards > 1 a per-shard
@@ -110,7 +111,7 @@ func main() {
 	biased := flag.Bool("biased", false, "biased workload (insert-high/delete-low)")
 	attempted := flag.Bool("attempted", false, "use attempted updates instead of effective")
 	seed := flag.Int64("seed", 42, "workload seed")
-	shards := flag.Int("shards", 1, "key-space shards (1 = the paper's single-domain tree)")
+	shards := flag.Int("shards", 1, "key-space shards of the forest (1 = one shard, the paper's single-domain tree)")
 	cm := flag.String("cm", "backoff", "contention manager: suicide|backoff|karma")
 	dist := flag.String("dist", "uniform", "key distribution: uniform|zipf")
 	zipfS := flag.Float64("zipf-s", bench.DefaultZipfS, "zipf skew exponent (with -dist zipf)")
@@ -119,9 +120,9 @@ func main() {
 	xactFrac := flag.Float64("xact-frac", 0, "fraction of operations that are multi-key transfer transactions (0..1)")
 	xactKeys := flag.Int("xact-keys", bench.DefaultXactKeys, "keys touched by each transfer transaction (>= 2)")
 	xactCross := flag.Float64("xact-cross", 1, "fraction of transfers drawn freely across shards; the rest are confined to one shard (0..1)")
-	maintWorkers := flag.Int("maint-workers", 0, "shared maintenance pool size on a sharded run (0 = default)")
-	maintPacing := flag.Duration("maint-pacing", 0, "per-shard hint-drain pacing gap on a sharded run (0 = forest default, 2ms)")
-	batch := flag.Int("batch", 0, "per-shard op-combiner batch capacity (<= 1 disables batching; > 1 forces the forest path)")
+	maintWorkers := flag.Int("maint-workers", 0, "shared maintenance pool size, at most one worker per shard (0 = default)")
+	maintPacing := flag.Duration("maint-pacing", 0, "per-shard hint-drain pacing gap (0 = forest default, 2ms)")
+	batch := flag.Int("batch", 0, "per-shard op-combiner batch capacity (<= 1 disables batching)")
 	batchWait := flag.Duration("batch-wait", 0, "with -batch: how long a batch runner lingers for more ops (0 = drain-only)")
 	durableFlag := flag.Bool("durable", false, "attach a write-ahead log (temp dir) and time a post-run recovery")
 	fsync := flag.Bool("fsync", false, "with -durable: fsync before every update returns instead of group commit")
@@ -129,7 +130,7 @@ func main() {
 	ckptCompact := flag.Int("ckpt-compact", 0, "with -durable: fold the delta chain into a fresh full base after this many incremental checkpoints (0 = default, negative = every checkpoint full)")
 	yieldEvery := flag.Int("yield", 0, "STM interleaving simulation: yield every N accesses (0 off)")
 	obsAddr := flag.String("obs", "", "serve the live observability endpoint (/metrics, /snapshot, /flight, /trace, /debug/pprof) on this address during the run, e.g. :9100")
-	trace := flag.Int("trace", 0, "sample one in N operations into the span tracer (0 disables; > 0 forces the forest path)")
+	trace := flag.Int("trace", 0, "sample one in N operations into the span tracer (0 disables)")
 	header := flag.Bool("header", false, "print the CSV header line first")
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 	memProfile := flag.String("memprofile", "", "write a pprof allocation profile of the run to this file")
@@ -325,9 +326,11 @@ func main() {
 		res.STM.AbortCauses[stm.AbortCoordinated],
 		res.STM.StructuralCommits, res.STM.StructuralAborts,
 		res.GCPauseP99Nanos, res.Goroutines)
-	for si, sr := range res.PerShard {
-		fmt.Printf("shard,%d,ops,%d,throughput_ops_per_us,%.3f,commits,%d,aborts,%d,abort_rate,%.4f\n",
-			si, sr.Ops, sr.Throughput, sr.STM.Commits, sr.STM.Aborts, sr.STM.AbortRate())
+	if res.Shards > 1 { // one shard's row would repeat the aggregate
+		for si, sr := range res.PerShard {
+			fmt.Printf("shard,%d,ops,%d,throughput_ops_per_us,%.3f,commits,%d,aborts,%d,abort_rate,%.4f\n",
+				si, sr.Ops, sr.Throughput, sr.STM.Commits, sr.STM.Aborts, sr.STM.AbortRate())
+		}
 	}
 	if *memProfile != "" {
 		f, err := os.Create(*memProfile)

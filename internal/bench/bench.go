@@ -5,10 +5,11 @@
 // microsecond, the paper's unit), effective-update accounting, abort rates
 // and the transactional-read ceilings of Table 1.
 //
-// Beyond the paper's single-domain configurations, the harness can hammer a
-// sharded forest (Options.Shards > 1, reported per shard and aggregated),
-// select the STM's contention manager (Options.CM), and draw keys from a
-// Zipfian hot-set distribution instead of the uniform one (Workload.Dist).
+// Every run hammers a forest (internal/forest): one shard by default, the
+// paper's single-domain tree, or Options.Shards hash-partitioned shards,
+// reported per shard and aggregated. The harness can also select the STM's
+// contention manager (Options.CM) and draw keys from a Zipfian hot-set
+// distribution instead of the uniform one (Workload.Dist).
 //
 // Two methodological details follow the paper explicitly:
 //
@@ -130,8 +131,8 @@ type Options struct {
 	Workload Workload
 	Seed     int64
 	// Shards partitions the key space across that many independent
-	// STM-domain+tree shards (internal/forest). 0 and 1 select the
-	// single-domain path, which is byte-for-byte the paper's configuration.
+	// STM-domain+tree shards (internal/forest). 0 and 1 select one shard:
+	// the paper's single-domain tree with one maintenance driver.
 	Shards int
 	// CM names the contention manager ("suicide", "backoff", "karma").
 	// Empty selects "suicide" — the historical engine behavior — so every
@@ -144,17 +145,15 @@ type Options struct {
 	// 0 disables.
 	YieldEvery int
 	// MaintWorkers sizes the forest's shared maintenance worker pool
-	// (0 selects the forest default, min(shards, GOMAXPROCS/2)). Only
-	// meaningful with Shards > 1.
+	// (0 selects the forest default, min(shards, GOMAXPROCS/2); the pool
+	// never exceeds one worker per shard).
 	MaintWorkers int
 	// MaintPacing overrides the forest's per-shard hint-drain pacing gap
-	// (0 keeps the forest default of 2ms; forest.WithMaintPacing). Only
-	// meaningful with Shards > 1.
+	// (0 keeps the forest default of 2ms; forest.WithMaintPacing).
 	MaintPacing time.Duration
 	// Batch enables the forest's per-shard op combiner with that max batch
 	// size (forest.WithBatching): single-key operations coalesce into
 	// batches applied one transaction each. Values <= 1 leave batching off.
-	// A batched run always takes the forest path, whatever the shard count.
 	Batch int
 	// BatchWait is the combiner runner's linger for topping up an underfull
 	// batch (0 commits whatever is pending). Only meaningful with Batch > 1.
@@ -162,9 +161,7 @@ type Options struct {
 	// Durable attaches a write-ahead log (in a temporary directory, removed
 	// after the run) to the measured forest: every committed update appends
 	// one record, checkpoints run periodically, and after the hammer phase
-	// the run performs — and times — a full recovery of the directory. The
-	// single-domain configuration then runs as a one-shard forest (the
-	// durable facade's own arrangement).
+	// the run performs — and times — a full recovery of the directory.
 	Durable bool
 	// Fsync selects per-operation durability (fsync before every update
 	// returns) instead of the default asynchronous group commit. Only
@@ -196,8 +193,7 @@ type Options struct {
 	// (repro.WithTracing's dial): one in TraceEvery facade operations
 	// records spans for every phase it crosses, served on /trace when the
 	// observability endpoint is up. 0 disables tracing entirely (the off
-	// path costs one atomic load per op). A traced run always takes the
-	// forest path, whatever the shard count.
+	// path costs one atomic load per op).
 	TraceEvery int
 }
 
@@ -283,19 +279,16 @@ type Result struct {
 
 	// Xact is the cross-shard coordinator's own accounting, summed over
 	// workers: total commits, the subset that took the single-shard
-	// fallback fast path, retried aborts and intent conflicts. On the
-	// single-domain path every transfer is a fallback commit by
-	// construction.
+	// fallback fast path, retried aborts and intent conflicts. On one
+	// shard every transfer is a fallback commit by construction.
 	Xact ftx.Stats
 
 	STM       stm.Stats     // summed over worker threads (all shards)
-	PerShard  []ShardResult // per-shard breakdown (nil on the single path)
+	PerShard  []ShardResult // per-shard breakdown, indexed by shard
 	TreeStats sftree.Stats  // zero for non-SF trees; includes hint counters
 	Rotations uint64        // tree rotations (see trees.Rotations)
 	// Pool describes the maintenance scheduler: the forest's shared worker
-	// pool, or — on the single-domain path — the tree's own maintenance
-	// goroutine rendered as a one-worker pool (sweeps = passes), so the
-	// maintenance-efficiency columns stay comparable across shard counts.
+	// pool (one worker on a one-shard run).
 	Pool forest.PoolStats
 
 	// Durability accounting (zero unless Options.Durable): the WAL's own
@@ -365,10 +358,12 @@ func subPoolStats(cur, base forest.PoolStats) forest.PoolStats {
 	return cur
 }
 
-// Run executes one benchmark: build, fill, start maintenance, hammer for
-// the configured duration, and collect statistics. Shards > 1 selects the
-// forest path; otherwise the single-domain tree is measured exactly as the
-// paper's harness does.
+// Run executes one benchmark: build a forest of Shards shards (one by
+// default — the paper's single-domain tree), fill it, hammer it for the
+// configured duration with one handle per worker, and collect statistics,
+// with a per-shard breakdown of routed operations and STM statistics.
+// Durable runs attach a WAL after the fill and time a recovery after the
+// hammer.
 func Run(o Options) Result {
 	if o.Threads < 1 {
 		panic("bench: Threads must be >= 1")
@@ -383,74 +378,7 @@ func Run(o Options) Result {
 		panic("bench: RangeFrac + XactFrac must be < 1")
 	}
 	o.Workload.prepareZipf() // one shared CDF table for all workers
-	if o.Shards > 1 || o.Durable || o.Batch > 1 || o.TraceEvery > 0 {
-		return runForest(o)
-	}
-	cm := o.contentionManager()
-	s := stm.New(stm.WithMode(o.Mode), stm.WithYield(o.YieldEvery), stm.WithContentionManager(cm))
-	m := trees.New(o.Kind, s)
-	fill(m, s, o.Workload.KeyRange, o.Seed)
-
-	stopMaint := trees.Start(m)
-	defer stopMaint()
-	// Maintenance counters from the fill (and its Quiesce) are not part of
-	// the measurement; report hammer-phase deltas only.
-	var fillStats sftree.Stats
-	if sf, ok := m.(interface{ Stats() sftree.Stats }); ok {
-		fillStats = sf.Stats()
-	}
-
-	workers := make([]*Runner, o.Threads)
-	for i := range workers {
-		workers[i] = NewRunner(m, s.NewThread(), o.Workload, o.Seed+int64(i)*7919+1)
-	}
-	srv := startObs(o, func(r *obs.Registry, fr *obs.FlightRecorder) {
-		s.RegisterObs(r, "")
-		if sf, ok := m.(interface {
-			RegisterObs(*obs.Registry, string)
-		}); ok {
-			sf.RegisterObs(r, "")
-		}
-		registerLatency(r, workers)
-	})
-	hr := hammer(workers, o.Duration)
-	if srv != nil {
-		srv.Close()
-	}
-
-	res := newResult(o, cm, 1, hr.elapsed)
-	res.hammerMallocs, res.hammerBytes = hr.mallocs, hr.bytes
-	res.GCPauseP99Nanos, res.Goroutines = hr.gcPauseP99, hr.goroutines
-	for _, w := range workers {
-		res.addWorker(w)
-		res.STM.Add(w.th.Stats())
-	}
-	res.finish()
-	if sf, ok := m.(interface{ Stats() sftree.Stats }); ok {
-		res.TreeStats = subTreeStats(sf.Stats(), fillStats)
-	}
-	if _, ok := trees.HintMaintainedOf(m); ok {
-		res.Pool = forest.PoolStats{
-			Workers:   1,
-			BusyNanos: res.TreeStats.BusyNanos,
-			Sweeps:    res.TreeStats.Passes,
-		}
-	}
-	if rot, ok := trees.Rotations(m); ok {
-		res.Rotations = rot
-	}
-	return res
-}
-
-// runForest is the sharded path: one forest, one handle per worker, and a
-// per-shard breakdown of routed operations and STM statistics. Durable
-// runs (any shard count) come through here too, with a WAL attached after
-// the fill and a timed recovery after the hammer.
-func runForest(o Options) Result {
-	shards := o.Shards
-	if shards < 1 {
-		shards = 1
-	}
+	shards := max(o.Shards, 1)
 	cm := o.contentionManager()
 	fopts := []forest.Option{
 		forest.WithShards(shards),
@@ -469,8 +397,8 @@ func runForest(o Options) Result {
 	}
 	f := forest.New(o.Kind, fopts...)
 	fillForest(f, o.Workload.KeyRange, o.Seed)
-	// The pool runs during the fill too; report hammer-phase deltas only,
-	// mirroring the single-domain path (keeps shard counts comparable).
+	// The pool runs during the fill too (and its Quiesce drives plenty of
+	// maintenance of its own); report hammer-phase deltas only.
 	fillStats := f.MaintenanceStats()
 	fillPool := f.PoolStats()
 
@@ -565,10 +493,9 @@ func runForest(o Options) Result {
 		l2.Close()
 		os.RemoveAll(dir)
 	}
-	// Sum the workers' own per-shard threads, mirroring the single-domain
-	// path's worker-only accounting (the fill handle and the maintenance
-	// goroutines are excluded there too, keeping shards=1 and shards=N
-	// rows comparable).
+	// Sum the workers' own per-shard threads only: the fill handle and the
+	// maintenance workers are excluded, keeping the STM columns a measure
+	// of the application's transactions at every shard count.
 	res.PerShard = make([]ShardResult, shards)
 	for i, w := range workers {
 		res.addWorker(w)
@@ -770,26 +697,12 @@ func (r *Result) finish() {
 	}
 }
 
-// fill initializes the set: every key in [0, keyRange) is inserted with
-// probability 1/2, in a shuffled order so that even the never-rebalancing
-// tree starts from an ordinary random BST (inserting in ascending order
-// would hand it a linked list before the measurement begins). Maintenance,
-// where present, is then quiesced so every library starts balanced, as the
-// paper's initialized sets do.
-func fill(m trees.Map, s *stm.STM, keyRange uint64, seed int64) {
-	th := s.NewThread()
-	rng := rand.New(rand.NewSource(seed ^ 0x5eed))
-	keys := rng.Perm(int(keyRange))
-	for _, k := range keys {
-		if rng.Intn(2) == 0 {
-			m.Insert(th, uint64(k), uint64(k))
-		}
-	}
-	trees.Quiesce(m, 1<<20)
-}
-
-// fillForest applies exactly the fill discipline above through a routing
-// handle, so a forest starts from the same expected set as the bare tree.
+// fillForest initializes the set: every key in [0, keyRange) is inserted
+// with probability 1/2, in a shuffled order so that even the
+// never-rebalancing tree starts from an ordinary random BST (inserting in
+// ascending order would hand it a linked list before the measurement
+// begins). Maintenance, where present, is then quiesced so every library
+// starts balanced, as the paper's initialized sets do.
 func fillForest(f *forest.Forest, keyRange uint64, seed int64) {
 	h := f.NewHandle()
 	rng := rand.New(rand.NewSource(seed ^ 0x5eed))
@@ -802,10 +715,8 @@ func fillForest(f *forest.Forest, keyRange uint64, seed int64) {
 	f.Quiesce(1 << 20)
 }
 
-// Target abstracts what a Runner hammers: a bare tree bound to one STM
-// thread, or a forest handle that routes every key to its shard. The method
-// set is deliberately the per-goroutine accessor surface shared by both
-// (forest.Handle and repro.Handle satisfy it directly).
+// Target abstracts what a Runner hammers: the per-goroutine accessor
+// surface that forest.Handle and repro.Handle both satisfy directly.
 type Target interface {
 	Insert(k, v uint64) bool
 	Delete(k uint64) bool
@@ -815,47 +726,23 @@ type Target interface {
 	// SameShard reports key co-location (always true on unsharded targets);
 	// the transfer workload's cross-shard dial steers key selection with it.
 	SameShard(k1, k2 uint64) bool
-	// Atomic runs fn as one atomic multi-key transaction (the cross-shard
-	// coordinator on a forest, its single-shard fallback on a bare tree).
+	// Atomic runs fn as one atomic multi-key transaction through the
+	// cross-shard coordinator (its single-shard fallback on one shard).
 	Atomic(fn func(t *ftx.Tx) error) error
 }
 
 // XactStatser is the optional coordinator-statistics surface of a Target
-// (forest.Handle, repro.Handle and treeTarget all provide it); Run sums it
-// into Result.Xact.
+// (forest.Handle and repro.Handle provide it); Run sums it into
+// Result.Xact.
 type XactStatser interface {
 	XactStats() ftx.Stats
 }
-
-// treeTarget adapts (trees.Map, *stm.Thread) to Target, with a one-shard
-// coordinator for the transfer workload.
-type treeTarget struct {
-	m     trees.Map
-	th    *stm.Thread
-	coord *ftx.Coordinator
-}
-
-func newTreeTarget(m trees.Map, th *stm.Thread) *treeTarget {
-	return &treeTarget{m: m, th: th, coord: ftx.NewCoordinator(ftx.Single(m, th))}
-}
-
-func (t *treeTarget) Insert(k, v uint64) bool   { return t.m.Insert(t.th, k, v) }
-func (t *treeTarget) Delete(k uint64) bool      { return t.m.Delete(t.th, k) }
-func (t *treeTarget) Contains(k uint64) bool    { return t.m.Contains(t.th, k) }
-func (t *treeTarget) Move(src, dst uint64) bool { return trees.Move(t.m, t.th, src, dst) }
-func (t *treeTarget) Range(lo, hi uint64, fn func(k, v uint64) bool) bool {
-	return t.m.Range(t.th, lo, hi, fn)
-}
-func (t *treeTarget) SameShard(k1, k2 uint64) bool           { return true }
-func (t *treeTarget) Atomic(fn func(tx *ftx.Tx) error) error { return t.coord.Run(fn) }
-func (t *treeTarget) XactStats() ftx.Stats                   { return t.coord.Stats() }
 
 // Runner executes one thread's operation stream against a Target; the Run
 // harness drives one per worker, and the root-level testing.B benchmarks
 // drive them directly with b.N-controlled iteration.
 type Runner struct {
 	t   Target
-	th  *stm.Thread // nil for forest runners (stats come from the forest)
 	rng *rand.Rand
 	wl  Workload
 	gen *ZipfGen // non-nil iff wl.Dist == DistZipf
@@ -889,15 +776,7 @@ type Runner struct {
 // every latSampleEvery-th op is measured (~2ns/op amortized).
 const latSampleEvery = 32
 
-// NewRunner creates a Runner hammering a bare tree through one STM thread,
-// with its own deterministic random stream.
-func NewRunner(m trees.Map, th *stm.Thread, wl Workload, seed int64) *Runner {
-	r := NewTargetRunner(newTreeTarget(m, th), wl, seed)
-	r.th = th
-	return r
-}
-
-// NewTargetRunner creates a Runner hammering any Target (e.g. a
+// NewTargetRunner creates a Runner hammering a Target (e.g. a
 // forest.Handle) with its own deterministic random stream.
 func NewTargetRunner(t Target, wl Workload, seed int64) *Runner {
 	wl.prepareZipf()
@@ -908,10 +787,6 @@ func NewTargetRunner(t Target, wl Workload, seed int64) *Runner {
 	}
 	return r
 }
-
-// Thread exposes the runner's STM thread (for statistics collection); nil
-// when the runner targets a forest.
-func (w *Runner) Thread() *stm.Thread { return w.th }
 
 // Step executes one operation drawn from the workload mix, timing every
 // latSampleEvery-th one into the latency reservoir.
@@ -971,8 +846,8 @@ func (w *Runner) step() {
 
 // rangeScan performs one ordered scan over a window of the key space
 // starting at a key drawn from the workload distribution, counting the
-// elements visited (the per-shard snapshot+merge cost on a forest, the
-// bounded in-order traversal on a bare tree).
+// elements visited (the bounded in-order traversal of each shard's
+// snapshot, merged across shards).
 func (w *Runner) rangeScan() {
 	ln := w.wl.RangeLen
 	if ln == 0 {

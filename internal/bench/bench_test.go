@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/forest"
 	"repro/internal/stm"
 	"repro/internal/trees"
 )
@@ -157,12 +158,13 @@ func TestRangeFracZeroReproducesLegacyStream(t *testing.T) {
 	// single-threaded run reproduces the pre-range harness bit-for-bit.
 	// The golden values pin one such run; any unconditional extra draw in
 	// Step (or a change to fill/key ordering) shifts the whole stream and
-	// breaks them.
-	s := stm.New(stm.WithContentionManager(stm.Suicide()))
-	m := trees.New(trees.SF, s)
-	fill(m, s, 256, 7)
+	// breaks them. The run hammers a one-shard forest, so the golden values
+	// also pin that it reproduces the bare tree's pre-forest stream.
+	f := forest.New(trees.SF, forest.WithContentionManager(stm.Suicide()))
+	defer f.Close()
+	fillForest(f, 256, 7)
 	wl := Workload{KeyRange: 256, UpdatePercent: 30, Effective: true}
-	r := NewRunner(m, s.NewThread(), wl, 7)
+	r := NewTargetRunner(f.NewHandle(), wl, 7)
 	for i := 0; i < 5000; i++ {
 		r.Step()
 	}
@@ -172,7 +174,7 @@ func TestRangeFracZeroReproducesLegacyStream(t *testing.T) {
 	if r.EffUpdates != 1014 {
 		t.Fatalf("effective updates = %d, want golden 1014 (random stream shifted)", r.EffUpdates)
 	}
-	if size := m.Size(s.NewThread()); size != 119 {
+	if size := f.NewHandle().Len(); size != 119 {
 		t.Fatalf("final size = %d, want golden 119 (random stream shifted)", size)
 	}
 }

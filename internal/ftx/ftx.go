@@ -113,9 +113,8 @@ type Shard struct {
 	Intents *IntentTable
 }
 
-// Domain is the sharded substrate a coordinator drives. forest.Handle
-// adapts itself to it; Single wraps a bare (map, thread) pair as the
-// degenerate one-shard domain.
+// Domain is the sharded substrate a coordinator drives; forest.Handle
+// adapts itself to it.
 //
 // Shard(si) may be called repeatedly for the same index and must return a
 // consistent view; like the rest of the per-goroutine accessor surface it
@@ -323,23 +322,6 @@ func (c *Coordinator) attempt(t *Tx, fn func(*Tx) error) (parts []*participant, 
 // coordinator; callers who want Stats keep a Coordinator instead.
 func Run(d Domain, fn func(*Tx) error) error {
 	return NewCoordinator(d).Run(fn)
-}
-
-// single is the degenerate one-shard Domain.
-type single struct {
-	sh Shard
-}
-
-func (s *single) Shards() int        { return 1 }
-func (s *single) ShardOf(uint64) int { return 0 }
-func (s *single) Shard(int) Shard    { return s.sh }
-
-// Single wraps one (map, thread) pair as a one-shard Domain: every
-// transaction on it commits through the single-shard fast path, which makes
-// the cross-shard API usable — and its cost comparable — on unsharded
-// trees.
-func Single(m trees.Map, th *stm.Thread) Domain {
-	return &single{sh: Shard{Map: m, Thread: th, Intents: &IntentTable{}}}
 }
 
 // commit drives one attempt of the two-phase protocol over the

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/forest"
 	"repro/internal/ftx"
-	"repro/internal/stm"
 	"repro/internal/trees"
 )
 
@@ -162,41 +161,6 @@ func TestRunSingleShardFallback(t *testing.T) {
 	}
 	if v, ok := h.Get(b); !ok || v != 10 {
 		t.Fatalf("b = %d,%t want 10", v, ok)
-	}
-}
-
-// TestSingleDomain: the degenerate one-shard Domain (Single) runs the same
-// API over a bare tree and always falls back.
-func TestSingleDomain(t *testing.T) {
-	s := stm.New()
-	m := trees.New(trees.SFOpt, s)
-	d := ftx.Single(m, s.NewThread())
-	c := ftx.NewCoordinator(d)
-	if err := c.Run(func(tx *ftx.Tx) error {
-		tx.Put(1, 100)
-		tx.Put(2, 200)
-		return nil
-	}); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if err := c.Run(func(tx *ftx.Tx) error {
-		v1, ok1 := tx.Get(1)
-		v2, ok2 := tx.Get(2)
-		if !ok1 || !ok2 || v1 != 100 || v2 != 200 {
-			t.Errorf("read back %d,%t %d,%t", v1, ok1, v2, ok2)
-		}
-		tx.Delete(1)
-		return nil
-	}); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	st := c.Stats()
-	if st.Commits != 2 || st.Fallbacks != 2 {
-		t.Fatalf("stats %+v: want every commit on the fallback path", st)
-	}
-	th := s.NewThread()
-	if m.Contains(th, 1) || !m.Contains(th, 2) {
-		t.Fatal("final state wrong")
 	}
 }
 

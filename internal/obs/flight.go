@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sync/atomic"
 	"time"
 )
 
@@ -70,38 +69,19 @@ type Event struct {
 	B    int64     `json:"b"`
 }
 
-// flightSlot holds one event in atomic fields guarded by a per-slot
-// seqlock version (odd while a writer owns the slot). All fields are
-// atomics so concurrent wraparound reads are race-detector-clean; the
-// version makes the five fields mutually consistent.
-type flightSlot struct {
-	ver  atomic.Uint64
-	at   atomic.Int64
-	kind atomic.Int64
-	dur  atomic.Int64
-	a    atomic.Int64
-	b    atomic.Int64
-}
-
-// FlightRecorder is a bounded lock-free ring of recent notable events.
-// Record claims the next slot with a global sequence counter and publishes
-// under the slot's seqlock; when the ring wraps, the oldest events are
-// overwritten. Dump it on demand (Events/WriteTo, or the HTTP endpoint's
+// FlightRecorder is a bounded lock-free ring of recent notable events
+// (a seqRing: global sequence, per-slot seqlock, oldest overwritten on
+// wrap). Dump it on demand (Events/WriteTo, or the HTTP endpoint's
 // /flight) or on panic (DumpOnPanic).
 type FlightRecorder struct {
-	seq   atomic.Uint64
-	slots []flightSlot
+	ring  seqRing
 	dumpW io.Writer // destination for DumpOnPanic; os.Stderr when nil
 }
 
 // NewFlightRecorder returns a recorder keeping the most recent `size`
 // events (rounded up to a power of two, minimum 16).
 func NewFlightRecorder(size int) *FlightRecorder {
-	n := 16
-	for n < size {
-		n <<= 1
-	}
-	return &FlightRecorder{slots: make([]flightSlot, n)}
+	return &FlightRecorder{ring: newSeqRing(size, 16)}
 }
 
 // Record appends an event. Allocation-free and safe from any goroutine. A
@@ -111,21 +91,7 @@ func (f *FlightRecorder) Record(kind EventKind, dur time.Duration, a, b int64) {
 	if f == nil {
 		return
 	}
-	i := f.seq.Add(1) - 1
-	s := &f.slots[i&uint64(len(f.slots)-1)]
-	// Claim the slot: flip the version odd. If another writer lapped us
-	// onto the same slot and holds it, drop this event rather than spin —
-	// the recorder is diagnostics, not a ledger.
-	v := s.ver.Load()
-	if v&1 == 1 || !s.ver.CompareAndSwap(v, v+1) {
-		return
-	}
-	s.at.Store(time.Now().UnixNano())
-	s.kind.Store(int64(kind))
-	s.dur.Store(int64(dur))
-	s.a.Store(a)
-	s.b.Store(b)
-	s.ver.Add(1)
+	f.ring.put([ringWords]uint64{uint64(time.Now().UnixNano()), uint64(kind), uint64(dur), uint64(a), uint64(b)})
 }
 
 // Events returns the recorded events, oldest first. Events being written
@@ -134,30 +100,11 @@ func (f *FlightRecorder) Events() []Event {
 	if f == nil {
 		return nil
 	}
-	end := f.seq.Load()
-	n := uint64(len(f.slots))
-	start := uint64(0)
-	if end > n {
-		start = end - n
-	}
-	out := make([]Event, 0, end-start)
-	for i := start; i < end; i++ {
-		s := &f.slots[i&(n-1)]
-		for tries := 0; tries < 4; tries++ {
-			v1 := s.ver.Load()
-			if v1&1 == 1 {
-				continue
-			}
-			ev := Event{At: s.at.Load(), Kind: EventKind(s.kind.Load()), Dur: s.dur.Load(), A: s.a.Load(), B: s.b.Load()}
-			if s.ver.Load() != v1 {
-				continue
-			}
-			if ev.At != 0 {
-				out = append(out, ev)
-			}
-			break
-		}
-	}
+	out := make([]Event, 0, f.ring.held())
+	f.ring.each(func(w [ringWords]uint64) {
+		out = append(out, Event{At: int64(w[0]), Kind: EventKind(w[1]), Dur: int64(w[2]),
+			A: int64(w[3]), B: int64(w[4])})
+	})
 	return out
 }
 

@@ -99,20 +99,6 @@ type Span struct {
 	B       int64    `json:"b"`
 }
 
-// traceSlot holds one span in atomic fields under a per-slot seqlock
-// version (odd while a writer owns it), exactly like the flight recorder's
-// flightSlot: concurrent wraparound reads are race-clean and the version
-// makes the fields mutually consistent.
-type traceSlot struct {
-	ver    atomic.Uint64
-	id     atomic.Uint64
-	kindOp atomic.Uint64 // kind<<8 | op, packed so the slot stays 8 words
-	start  atomic.Int64
-	end    atomic.Int64
-	a      atomic.Int64
-	b      atomic.Int64
-}
-
 // slowWindowNanos is the slow-op table's window: the table keeps the K
 // slowest complete operations seen in the current window and resets lazily
 // when a new offer arrives after the window has elapsed.
@@ -202,7 +188,7 @@ func (t *slowTable) snapshot() []SlowOp {
 // at op start — Sample compares a caller-supplied xorshift draw against a
 // precomputed threshold, so an unsampled op pays one branch and no atomic —
 // and every span of a sampled op carries the trace ID handed out by NextID.
-// Record claims ring slots exactly like FlightRecorder.Record (global
+// Record writes into the same seqRing as FlightRecorder.Record (global
 // sequence, per-slot seqlock, drop on collision) and never allocates. A nil
 // *Tracer is inert on every method, so instrumented layers hold an optional
 // tracer behind one nil/zero check.
@@ -210,8 +196,7 @@ type Tracer struct {
 	every     int
 	threshold uint64 // sample when draw <= threshold
 	idSeq     atomic.Uint64
-	seq       atomic.Uint64
-	slots     []traceSlot
+	ring      seqRing
 	sampled   Counter // sampled operations
 	recorded  Counter // spans written into the ring
 	opH       [NumOpKinds]Histogram
@@ -222,11 +207,7 @@ type Tracer struct {
 // (sampleEvery <= 1 samples every op) into a ring of ringSize spans
 // (rounded up to a power of two, minimum 64).
 func NewTracer(sampleEvery, ringSize int) *Tracer {
-	n := 64
-	for n < ringSize {
-		n <<= 1
-	}
-	t := &Tracer{every: sampleEvery, slots: make([]traceSlot, n)}
+	t := &Tracer{every: sampleEvery, ring: newSeqRing(ringSize, 64)}
 	if sampleEvery <= 1 {
 		t.every = 1
 		t.threshold = math.MaxUint64
@@ -263,22 +244,11 @@ func (t *Tracer) Record(id uint64, kind SpanKind, op OpKind, start, end, a, b in
 	if t == nil || id == 0 {
 		return
 	}
-	i := t.seq.Add(1) - 1
-	s := &t.slots[i&uint64(len(t.slots)-1)]
-	// Claim the slot: flip the version odd. If a writer that lapped us holds
-	// it, drop the span rather than spin — the ring is diagnostics.
-	v := s.ver.Load()
-	if v&1 == 1 || !s.ver.CompareAndSwap(v, v+1) {
-		return
+	// Kind and op share a word so a span fits the ring's six.
+	if t.ring.put([ringWords]uint64{id, uint64(kind)<<8 | uint64(op), uint64(start), uint64(end),
+		uint64(a), uint64(b)}) {
+		t.recorded.Inc()
 	}
-	s.id.Store(id)
-	s.kindOp.Store(uint64(kind)<<8 | uint64(op))
-	s.start.Store(start)
-	s.end.Store(end)
-	s.a.Store(a)
-	s.b.Store(b)
-	s.ver.Add(1)
-	t.recorded.Inc()
 }
 
 // EndOp records the operation-level span, feeds the per-op-kind latency
@@ -312,32 +282,11 @@ func (t *Tracer) Spans() []Span {
 	if t == nil {
 		return nil
 	}
-	end := t.seq.Load()
-	n := uint64(len(t.slots))
-	start := uint64(0)
-	if end > n {
-		start = end - n
-	}
-	out := make([]Span, 0, end-start)
-	for i := start; i < end; i++ {
-		s := &t.slots[i&(n-1)]
-		for tries := 0; tries < 4; tries++ {
-			v1 := s.ver.Load()
-			if v1&1 == 1 {
-				continue
-			}
-			ko := s.kindOp.Load()
-			sp := Span{TraceID: s.id.Load(), Kind: SpanKind(ko >> 8), Op: OpKind(ko & 0xff),
-				Start: s.start.Load(), End: s.end.Load(), A: s.a.Load(), B: s.b.Load()}
-			if s.ver.Load() != v1 {
-				continue
-			}
-			if sp.TraceID != 0 {
-				out = append(out, sp)
-			}
-			break
-		}
-	}
+	out := make([]Span, 0, t.ring.held())
+	t.ring.each(func(w [ringWords]uint64) {
+		out = append(out, Span{TraceID: w[0], Kind: SpanKind(w[1] >> 8), Op: OpKind(w[1] & 0xff),
+			Start: int64(w[2]), End: int64(w[3]), A: int64(w[4]), B: int64(w[5])})
+	})
 	return out
 }
 

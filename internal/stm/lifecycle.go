@@ -24,47 +24,37 @@ type lifecycle struct {
 
 // run drives the operation to commit. On every abort it charges one retry to
 // the thread's statistics and hands control to the contention manager, whose
-// stall is the only wait in the loop.
+// stall is the only wait in the loop. While the thread carries a sampled
+// op's trace context, every attempt also records one SpanAttempt (A = -1
+// for the committing attempt, otherwise the abort cause; B = the attempt
+// index); otherwise tr is nil and the clock is never read. time.Now and
+// Tracer.Record never allocate, keeping AllocsPerRun=0 on both paths.
 func (lc *lifecycle) run() {
-	th := lc.th
-	if th.traceID != 0 {
-		lc.runTraced()
-		return
-	}
-	tx := &th.tx
-	cm := th.stm.cm
-	for {
-		tx.begin(lc.mode)
-		if th.runAttempt(tx, lc.fn) {
-			cm.OnCommit(th, lc.retries)
-			return
-		}
-		lc.retries++
-		th.noteRetry()
-		cm.OnAbort(th, lc.retries)
-	}
-}
-
-// runTraced is the sampled-op variant of run: identical control flow plus
-// one SpanAttempt per attempt (A = -1 for the committing attempt, otherwise
-// the abort cause; B = the attempt index). It is a separate loop so the
-// untraced path — the overwhelmingly common one — pays exactly one branch.
-// time.Now and Tracer.Record never allocate, keeping AllocsPerRun=0 on the
-// sampled path too.
-func (lc *lifecycle) runTraced() {
 	th := lc.th
 	tx := &th.tx
 	cm := th.stm.cm
 	tr, id, op := th.tr, th.traceID, th.traceOp
+	if id == 0 {
+		tr = nil
+	}
 	for {
-		start := time.Now().UnixNano()
+		var start int64
+		if tr != nil {
+			start = time.Now().UnixNano()
+		}
 		tx.begin(lc.mode)
-		if th.runAttempt(tx, lc.fn) {
-			tr.Record(id, obs.SpanAttempt, op, start, time.Now().UnixNano(), -1, int64(lc.retries))
+		ok := th.runAttempt(tx, lc.fn)
+		if tr != nil {
+			cause := int64(-1)
+			if !ok {
+				cause = int64(th.lastCause)
+			}
+			tr.Record(id, obs.SpanAttempt, op, start, time.Now().UnixNano(), cause, int64(lc.retries))
+		}
+		if ok {
 			cm.OnCommit(th, lc.retries)
 			return
 		}
-		tr.Record(id, obs.SpanAttempt, op, start, time.Now().UnixNano(), int64(th.lastCause), int64(lc.retries))
 		lc.retries++
 		th.noteRetry()
 		cm.OnAbort(th, lc.retries)

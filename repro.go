@@ -57,7 +57,6 @@ package repro
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"repro/internal/durable"
@@ -118,15 +117,14 @@ const (
 )
 
 // Tree is a concurrent ordered map from uint64 keys to uint64 values backed
-// by one of the paper's tree libraries over the package's STM — either one
-// tree in one STM domain (the paper's configuration, the default), or a
-// hash-sharded forest of them (WithShards). Create one with NewTree; every
-// goroutine accessing it must use its own Handle.
+// by one of the paper's tree libraries over the package's STM. Every tree is
+// a hash-sharded forest of domain+tree shards: with the default single shard
+// it is the paper's configuration — one tree in one STM domain with one
+// maintenance driver — and WithShards partitions the key space further.
+// Create one with NewTree or Open; every goroutine accessing it must use its
+// own Handle.
 type Tree struct {
-	s    *stm.STM       // single-domain path (shards == 1)
-	m    trees.Map      // single-domain path
-	f    *forest.Forest // sharded path (shards > 1, and every durable tree)
-	stop func()
+	f *forest.Forest
 	// dlog is the attached write-ahead log of a durable tree (repro.Open);
 	// nil for volatile trees. recovery is what Open reconstructed.
 	dlog     *durable.Log
@@ -139,16 +137,6 @@ type Tree struct {
 	obsFR  *obs.FlightRecorder
 	obsTr  *obs.Tracer
 	obsSrv *obs.Server
-	// maintWorkers is the configured maintenance-scheduler size of the
-	// single-domain path (1 when a maintenance goroutine was started, 0
-	// otherwise); immutable after NewTree, reported by MaintPoolStats.
-	maintWorkers int
-	// maintMu serializes maintenance toggling: Close may be called
-	// concurrently with Stats, whose pause/resume bracket reads maint —
-	// without the lock that is a data race, and a racing resume could
-	// restart maintenance after Close returned.
-	maintMu sync.Mutex
-	maint   bool // background maintenance currently enabled; guarded by maintMu
 }
 
 // Option configures NewTree.
@@ -170,6 +158,42 @@ type treeCfg struct {
 	trace        int // WithTracing sample-every (0 = tracing off)
 }
 
+// config applies opts over the defaults and rejects a shard count below
+// one; NewTree panics on the error and Open returns it.
+func config(opts []Option) (treeCfg, error) {
+	cfg := treeCfg{mode: stm.CTL, maintenance: true, shards: 1}
+	for _, o := range opts {
+		o(&cfg)
+	}
+	if cfg.shards < 1 {
+		return cfg, fmt.Errorf("repro: shard count %d < 1", cfg.shards)
+	}
+	return cfg, nil
+}
+
+// forestOptions translates the configuration into the options of the
+// forest that backs every tree, whether built by NewTree or Open.
+func (c *treeCfg) forestOptions() []forest.Option {
+	fopts := []forest.Option{
+		forest.WithShards(c.shards),
+		forest.WithTMMode(c.mode),
+		forest.WithContentionManager(c.cm),
+	}
+	if c.maintWorkers > 0 {
+		fopts = append(fopts, forest.WithMaintWorkers(c.maintWorkers))
+	}
+	if c.maintHi > 0 {
+		fopts = append(fopts, forest.WithMaintWorkerRange(c.maintLo, c.maintHi))
+	}
+	if !c.maintenance {
+		fopts = append(fopts, forest.WithoutMaintenance())
+	}
+	if c.batchN > 1 {
+		fopts = append(fopts, forest.WithBatching(c.batchN, c.batchWait))
+	}
+	return fopts
+}
+
 // WithTMMode selects the TM algorithm (default CommitTimeLocking).
 func WithTMMode(m TMMode) Option { return func(c *treeCfg) { c.mode = m } }
 
@@ -183,26 +207,26 @@ func WithoutMaintenance() Option { return func(c *treeCfg) { c.maintenance = fal
 // transactions are confined to one shard (see Handle.UpdateShard and
 // Tree.SameShard), and arbitrary multi-shard compositions — including Move
 // across shards — run atomically through Handle.Atomic's two-phase-commit
-// coordinator.
+// coordinator. NewTree panics when n < 1; Open returns an error.
 func WithShards(n int) Option { return func(c *treeCfg) { c.shards = n } }
 
-// WithMaintWorkers pins the shared maintenance worker pool of a sharded
-// tree to exactly n workers, disabling the adaptive sizing (the default is
-// adaptive between 1 and min(shards, GOMAXPROCS/2) — see
-// WithMaintWorkerRange). The pool drains commit-time maintenance hints
-// across all shards with targeted repair transactions and runs the
-// low-frequency fallback sweeps, so total maintenance CPU is bounded by the
-// pool size rather than the shard count. Ignored on unsharded trees, whose
-// single maintenance goroutine plays the same role.
+// WithMaintWorkers pins the shared maintenance worker pool to exactly n
+// workers, disabling the adaptive sizing (the default is adaptive between 1
+// and min(shards, GOMAXPROCS/2) — see WithMaintWorkerRange). The pool
+// drains commit-time maintenance hints across all shards with targeted
+// repair transactions and runs the low-frequency fallback sweeps, so total
+// maintenance CPU is bounded by the pool size rather than the shard count.
+// The pool never exceeds one worker per shard: on an unsharded tree any
+// n >= 1 yields the single maintenance driver of the paper's design.
 func WithMaintWorkers(n int) Option { return func(c *treeCfg) { c.maintWorkers = n } }
 
-// WithMaintWorkerRange lets the maintenance pool of a sharded tree size
-// itself between lo and hi workers: it grows a worker when the queued-hint
-// backlog outruns the active workers while they are busy, and parks one
-// when the backlog is drained and they sit idle (the decision runs between
-// drain quanta off the pool's own backlog and utilization counters —
-// MaintPoolStats reports the current size and the steps taken). lo must be
-// >= 1 and hi >= lo; ignored on unsharded trees.
+// WithMaintWorkerRange lets the maintenance pool size itself between lo and
+// hi workers: it grows a worker when the queued-hint backlog outruns the
+// active workers while they are busy, and parks one when the backlog is
+// drained and they sit idle (the decision runs between drain quanta off the
+// pool's own backlog and utilization counters — MaintPoolStats reports the
+// current size and the steps taken). lo must be >= 1 and hi >= lo; both are
+// clamped to the shard count, so an unsharded tree keeps one worker.
 func WithMaintWorkerRange(lo, hi int) Option {
 	return func(c *treeCfg) {
 		c.maintLo, c.maintHi = lo, hi
@@ -224,7 +248,6 @@ func WithMaintWorkerRange(lo, hi int) Option {
 // abort storms with conflict-free serial batches and amortizes the
 // per-transaction overhead; on read-dominated uncontended workloads it
 // serializes reads that would have run in parallel, so leave it off there.
-// A batched tree always runs on the forest path, even unsharded.
 func WithBatching(n int, wait time.Duration) Option {
 	return func(c *treeCfg) {
 		c.batchN = n
@@ -269,8 +292,6 @@ func WithObservability(addr string) Option {
 // /trace endpoint and Tree.Tracer; per-op-kind latency histograms
 // (op_latency_nanos) and a top-K slow-op table ride along in the registry.
 // sampleEvery <= 1 samples every operation (tests and debugging).
-//
-// A traced tree always runs on the forest path, even unsharded.
 func WithTracing(sampleEvery int) Option {
 	return func(c *treeCfg) {
 		c.obs = true
@@ -331,12 +352,9 @@ func WithDurability(o DurabilityOptions) Option {
 // prefix and CRC and cleanly discarded, so a cross-shard transaction is
 // recovered wholly or not at all.
 func Open(dir string, kind Kind, opts ...Option) (*Tree, error) {
-	cfg := treeCfg{mode: stm.CTL, maintenance: true, shards: 1}
-	for _, o := range opts {
-		o(&cfg)
-	}
-	if cfg.shards < 1 {
-		return nil, fmt.Errorf("repro: shard count %d < 1", cfg.shards)
+	cfg, err := config(opts)
+	if err != nil {
+		return nil, err
 	}
 	var dopts durable.Options
 	if cfg.dur != nil {
@@ -346,10 +364,7 @@ func Open(dir string, kind Kind, opts ...Option) (*Tree, error) {
 	if err != nil {
 		return nil, err
 	}
-	// A durable tree always runs on the forest path, whatever the shard
-	// count: with one shard a forest is semantically identical to the bare
-	// tree, and the WAL, checkpoint and cross-shard plumbing then have one
-	// surface. The recovered pairs are routed to their shards, sorted, and
+	// The recovered pairs are routed to their shards, sorted, and
 	// bulk-built into balanced trees before the log is attached and the
 	// maintenance pool starts (no transactions, nothing to re-log or
 	// repair). A fresh checkpoint sealed from the same sorted runs then
@@ -357,25 +372,7 @@ func Open(dir string, kind Kind, opts ...Option) (*Tree, error) {
 	// the previous process's clocks — and rebases the cuts.
 	runs := forest.Runs(cfg.shards, rec.State)
 	rec.State = nil // the runs hold the pairs now; keep the map collectable
-	fopts := []forest.Option{
-		forest.WithContents(runs),
-		forest.WithShards(cfg.shards),
-		forest.WithTMMode(cfg.mode),
-		forest.WithContentionManager(cfg.cm),
-	}
-	if cfg.maintWorkers > 0 {
-		fopts = append(fopts, forest.WithMaintWorkers(cfg.maintWorkers))
-	}
-	if cfg.maintHi > 0 {
-		fopts = append(fopts, forest.WithMaintWorkerRange(cfg.maintLo, cfg.maintHi))
-	}
-	if !cfg.maintenance {
-		fopts = append(fopts, forest.WithoutMaintenance())
-	}
-	if cfg.batchN > 1 {
-		fopts = append(fopts, forest.WithBatching(cfg.batchN, cfg.batchWait))
-	}
-	f := forest.New(kind, fopts...)
+	f := forest.New(kind, append(cfg.forestOptions(), forest.WithContents(runs))...)
 	f.AttachWAL(l)
 	if err := l.Checkpoint(f.RunsSource(runs)); err != nil {
 		l.Close()
@@ -383,7 +380,7 @@ func Open(dir string, kind Kind, opts ...Option) (*Tree, error) {
 		return nil, err
 	}
 	l.StartCheckpoints(f)
-	t := &Tree{f: f, stop: f.Close, maint: cfg.maintenance, dlog: l, recovery: *rec}
+	t := &Tree{f: f, dlog: l, recovery: *rec}
 	if cfg.obs {
 		if err := t.setupObs(cfg.obsAddr, cfg.trace); err != nil {
 			t.Close()
@@ -405,22 +402,11 @@ func (t *Tree) setupObs(addr string, trace int) error {
 		tr := obs.NewTracer(trace, 4096)
 		r.SetTracer(tr)
 		tr.RegisterObs(r)
-		if t.f != nil {
-			t.f.SetTracer(tr)
-		}
+		t.f.SetTracer(tr)
 		t.obsTr = tr
 	}
-	if t.f != nil {
-		t.f.RegisterObs(r)
-		t.f.SetFlightRecorder(fr)
-	} else {
-		t.s.RegisterObs(r, "")
-		if sf, ok := t.m.(interface {
-			RegisterObs(*obs.Registry, string)
-		}); ok {
-			sf.RegisterObs(r, "")
-		}
-	}
+	t.f.RegisterObs(r)
+	t.f.SetFlightRecorder(fr)
 	if t.dlog != nil {
 		t.dlog.RegisterObs(r)
 		t.dlog.SetFlightRecorder(fr)
@@ -497,55 +483,16 @@ func (t *Tree) Sync() error {
 // NewTree creates an empty tree of the given kind. Unless
 // WithoutMaintenance is given, speculation-friendly kinds start their
 // background maintenance goroutine(s) immediately; Close stops them.
+// NewTree panics on a shard count below one.
 func NewTree(kind Kind, opts ...Option) *Tree {
-	cfg := treeCfg{mode: stm.CTL, maintenance: true, shards: 1}
-	for _, o := range opts {
-		o(&cfg)
+	cfg, err := config(opts)
+	if err != nil {
+		panic(err)
 	}
 	if cfg.dur != nil {
 		panic("repro: WithDurability requires a directory; use repro.Open(dir, kind, ...)")
 	}
-	// A batched or traced tree runs on the forest path whatever the shard
-	// count: the combiner and the trace instrumentation live in the forest
-	// layer, and with one shard a forest is semantically identical to the
-	// bare tree.
-	if cfg.shards > 1 || cfg.batchN > 1 || cfg.trace > 0 {
-		fopts := []forest.Option{
-			forest.WithShards(cfg.shards),
-			forest.WithTMMode(cfg.mode),
-			forest.WithContentionManager(cfg.cm),
-		}
-		if cfg.maintWorkers > 0 {
-			fopts = append(fopts, forest.WithMaintWorkers(cfg.maintWorkers))
-		}
-		if cfg.maintHi > 0 {
-			fopts = append(fopts, forest.WithMaintWorkerRange(cfg.maintLo, cfg.maintHi))
-		}
-		if !cfg.maintenance {
-			fopts = append(fopts, forest.WithoutMaintenance())
-		}
-		if cfg.batchN > 1 {
-			fopts = append(fopts, forest.WithBatching(cfg.batchN, cfg.batchWait))
-		}
-		f := forest.New(kind, fopts...)
-		t := &Tree{f: f, stop: f.Close, maint: cfg.maintenance}
-		if cfg.obs {
-			if err := t.setupObs(cfg.obsAddr, cfg.trace); err != nil {
-				panic(err)
-			}
-		}
-		return t
-	}
-	s := stm.New(stm.WithMode(cfg.mode), stm.WithContentionManager(cfg.cm))
-	m := trees.New(kind, s)
-	t := &Tree{s: s, m: m, stop: func() {}}
-	if cfg.maintenance {
-		t.stop = trees.Start(m)
-		t.maint = true
-		if _, ok := trees.HintMaintainedOf(m); ok {
-			t.maintWorkers = 1
-		}
-	}
+	t := &Tree{f: forest.New(kind, cfg.forestOptions()...)}
 	if cfg.obs {
 		if err := t.setupObs(cfg.obsAddr, cfg.trace); err != nil {
 			panic(err)
@@ -570,172 +517,75 @@ func (t *Tree) Close() {
 	if t.dlog != nil {
 		t.dlog.Close()
 	}
-	t.maintMu.Lock()
-	defer t.maintMu.Unlock()
-	t.maint = false
-	t.stop()
+	t.f.Close()
 }
 
 // Maintain runs maintenance passes until the structure is quiescent or
 // maxPasses is reached (no-op for kinds without maintenance).
-func (t *Tree) Maintain(maxPasses int) {
-	if t.f != nil {
-		t.f.Quiesce(maxPasses)
-		return
-	}
-	trees.Quiesce(t.m, maxPasses)
-}
+func (t *Tree) Maintain(maxPasses int) { t.f.Quiesce(maxPasses) }
 
 // Shards reports the number of partitions (1 unless WithShards was given).
-func (t *Tree) Shards() int {
-	if t.f != nil {
-		return t.f.Shards()
-	}
-	return 1
-}
+func (t *Tree) Shards() int { return t.f.Shards() }
 
 // SameShard reports whether k1 and k2 live on the same shard, i.e. whether
 // a composed transaction (UpdateShard, atomic Move) may span both keys.
 // Always true for unsharded trees.
-func (t *Tree) SameShard(k1, k2 uint64) bool {
-	if t.f != nil {
-		return t.f.SameShard(k1, k2)
-	}
-	return true
-}
+func (t *Tree) SameShard(k1, k2 uint64) bool { return t.f.SameShard(k1, k2) }
 
 // NewHandle returns a handle bound to fresh STM thread state. Handles are
 // not safe for concurrent use; create one per goroutine.
-func (t *Tree) NewHandle() *Handle {
-	if t.f != nil {
-		return &Handle{t: t, fh: t.f.NewHandle()}
-	}
-	return &Handle{t: t, th: t.s.NewThread()}
-}
+func (t *Tree) NewHandle() *Handle { return &Handle{fh: t.f.NewHandle()} }
 
 // Stats returns the sum of all handles' STM statistics (over all shards).
-// A running maintenance goroutine is paused while its counters are read;
+// Running maintenance workers are paused while their counters are read;
 // the caller's handles should be quiescent for exact values. Stats may be
-// called concurrently with Close (the maintenance lock serializes the
-// pause/resume bracket against it).
-func (t *Tree) Stats() stm.Stats {
-	if t.f != nil {
-		return t.f.Stats()
-	}
-	t.maintMu.Lock()
-	defer t.maintMu.Unlock()
-	if t.maint {
-		if mt, ok := t.m.(trees.Maintained); ok {
-			mt.Stop()
-			defer mt.Start()
-		}
-	}
-	return t.s.TotalStats()
-}
+// called concurrently with Close.
+func (t *Tree) Stats() stm.Stats { return t.f.Stats() }
 
 // MaintenanceStats returns structural-activity counters for
 // speculation-friendly kinds, summed over shards (zero value otherwise).
 // Beyond the paper-era sweep counters it reports the hint-driven fields:
 // hints emitted, coalesced and dropped, and targeted repairs performed.
-func (t *Tree) MaintenanceStats() sftree.Stats {
-	if t.f != nil {
-		return t.f.MaintenanceStats()
-	}
-	if sf, ok := t.m.(interface{ Stats() sftree.Stats }); ok {
-		return sf.Stats()
-	}
-	return sftree.Stats{}
-}
+func (t *Tree) MaintenanceStats() sftree.Stats { return t.f.MaintenanceStats() }
 
 // MaintPoolStats reports the maintenance scheduler's activity: worker
 // count, busy time, hint wakeups, fallback sweeps and current hint backlog.
 type MaintPoolStats = forest.PoolStats
 
-// MaintPoolStats returns a snapshot of the maintenance scheduler. On a
-// sharded tree it describes the shared worker pool; on an unsharded tree it
-// is synthesized from the single maintenance goroutine's counters (one
-// worker, sweeps = passes) so callers can treat both uniformly. Workers is
-// the configured scheduler size (0 when the tree was built without
-// maintenance) and, like the counters, survives Close — Close freezes the
-// numbers, it does not zero them.
-func (t *Tree) MaintPoolStats() MaintPoolStats {
-	if t.f != nil {
-		return t.f.PoolStats()
-	}
-	ps := MaintPoolStats{}
-	mt, maintained := trees.HintMaintainedOf(t.m)
-	if !maintained {
-		return ps
-	}
-	ps.Workers = t.maintWorkers
-	if sf, ok := t.m.(interface{ Stats() sftree.Stats }); ok {
-		st := sf.Stats()
-		ps.BusyNanos = st.BusyNanos
-		ps.Sweeps = st.Passes
-	}
-	ps.Backlog = mt.HintBacklog()
-	return ps
-}
+// MaintPoolStats returns a snapshot of the maintenance worker pool (one
+// worker on an unsharded tree). Workers is the configured pool size (0 when
+// the tree was built without maintenance or its kind has none) and, like
+// the counters, survives Close — Close freezes the numbers, it does not
+// zero them.
+func (t *Tree) MaintPoolStats() MaintPoolStats { return t.f.PoolStats() }
 
 // Handle is a per-goroutine accessor to a Tree.
 type Handle struct {
-	t     *Tree
-	th    *stm.Thread      // single-domain path
-	fh    *forest.Handle   // sharded path
-	coord *ftx.Coordinator // single-domain Atomic coordinator, on first use
+	fh *forest.Handle
 }
 
 // Insert maps k to v; false when k was already present.
-func (h *Handle) Insert(k, v uint64) bool {
-	if h.fh != nil {
-		return h.fh.Insert(k, v)
-	}
-	return h.t.m.Insert(h.th, k, v)
-}
+func (h *Handle) Insert(k, v uint64) bool { return h.fh.Insert(k, v) }
 
 // Delete removes k; false when absent.
-func (h *Handle) Delete(k uint64) bool {
-	if h.fh != nil {
-		return h.fh.Delete(k)
-	}
-	return h.t.m.Delete(h.th, k)
-}
+func (h *Handle) Delete(k uint64) bool { return h.fh.Delete(k) }
 
 // Get returns the value at k.
-func (h *Handle) Get(k uint64) (uint64, bool) {
-	if h.fh != nil {
-		return h.fh.Get(k)
-	}
-	return h.t.m.Get(h.th, k)
-}
+func (h *Handle) Get(k uint64) (uint64, bool) { return h.fh.Get(k) }
 
 // Contains reports whether k is present.
-func (h *Handle) Contains(k uint64) bool {
-	if h.fh != nil {
-		return h.fh.Contains(k)
-	}
-	return h.t.m.Contains(h.th, k)
-}
+func (h *Handle) Contains(k uint64) bool { return h.fh.Contains(k) }
 
 // Move relocates the value at src to dst (§5.4's composed operation); it
 // succeeds only when src is present and dst absent, and it is atomic on
-// every configuration: one ordinary transaction on an unsharded tree and
-// within a shard, one cross-shard Atomic transaction otherwise.
-func (h *Handle) Move(src, dst uint64) bool {
-	if h.fh != nil {
-		return h.fh.Move(src, dst)
-	}
-	return trees.Move(h.t.m, h.th, src, dst)
-}
+// every configuration: one ordinary transaction when both keys share a
+// shard (always, on an unsharded tree), one cross-shard Atomic transaction
+// otherwise.
+func (h *Handle) Move(src, dst uint64) bool { return h.fh.Move(src, dst) }
 
 // SameShard reports whether k1 and k2 live on the same shard (always true
 // for unsharded trees) — the routing predicate for UpdateShard.
-func (h *Handle) SameShard(k1, k2 uint64) bool {
-	if h.fh != nil {
-		return h.fh.SameShard(k1, k2)
-	}
-	return true
-}
+func (h *Handle) SameShard(k1, k2 uint64) bool { return h.fh.SameShard(k1, k2) }
 
 // Txn is the buffering cross-shard transaction Handle.Atomic runs:
 // Get/Contains read through to the owning shard with repeatable-read
@@ -755,45 +605,19 @@ type Txn = ftx.Tx
 //
 // Atomic is the general composition; UpdateShard remains cheaper when the
 // keys are known co-located (Tree.SameShard).
-func (h *Handle) Atomic(fn func(t *Txn) error) error {
-	if h.fh != nil {
-		return h.fh.Atomic(fn)
-	}
-	if h.coord == nil {
-		h.coord = ftx.NewCoordinator(ftx.Single(h.t.m, h.th))
-	}
-	return h.coord.Run(fn)
-}
+func (h *Handle) Atomic(fn func(t *Txn) error) error { return h.fh.Atomic(fn) }
 
 // XactStats reports this handle's cross-shard coordinator activity: total
 // commits, the subset that took the single-shard fallback fast path,
 // retried aborts and intent conflicts (zero value before the first Atomic
 // call).
-func (h *Handle) XactStats() ftx.Stats {
-	if h.fh != nil {
-		return h.fh.XactStats()
-	}
-	if h.coord == nil {
-		return ftx.Stats{}
-	}
-	return h.coord.Stats()
-}
+func (h *Handle) XactStats() ftx.Stats { return h.fh.XactStats() }
 
 // Len counts the elements, one consistent snapshot per shard.
-func (h *Handle) Len() int {
-	if h.fh != nil {
-		return h.fh.Len()
-	}
-	return h.t.m.Size(h.th)
-}
+func (h *Handle) Len() int { return h.fh.Len() }
 
 // Keys returns the sorted keys, one consistent snapshot per shard.
-func (h *Handle) Keys() []uint64 {
-	if h.fh != nil {
-		return h.fh.Keys()
-	}
-	return h.t.m.Keys(h.th)
-}
+func (h *Handle) Keys() []uint64 { return h.fh.Keys() }
 
 // Range visits, in ascending key order, every element whose key lies in
 // [lo, hi] (both inclusive), calling fn(k, v) for each; fn returning false
@@ -803,10 +627,7 @@ func (h *Handle) Keys() []uint64 {
 // consistent snapshot merged in key order, but the shards are not cut at
 // one instant (the Keys/Len contract — see the forest package comment).
 func (h *Handle) Range(lo, hi uint64, fn func(k, v uint64) bool) bool {
-	if h.fh != nil {
-		return h.fh.Range(lo, hi, fn)
-	}
-	return h.t.m.Range(h.th, lo, hi, fn)
+	return h.fh.Range(lo, hi, fn)
 }
 
 // Ascend visits every element in ascending key order; fn returning false
@@ -822,67 +643,22 @@ func (h *Handle) Ascend(fn func(k, v uint64) bool) bool {
 //
 // Update panics on a sharded tree, because a composed transaction must be
 // routed to the single shard whose keys it touches: use UpdateShard there.
-// (A one-shard forest — every unsharded durable tree — has exactly one
-// shard for every key, so Update works there unrouted.)
+// An unsharded tree has exactly one shard for every key, so Update works
+// there unrouted.
 func (h *Handle) Update(fn func(op *Op)) {
-	if h.fh != nil {
-		if h.t.Shards() > 1 {
-			panic("repro: Update needs a routing key on a sharded tree; use UpdateShard(k, fn)")
-		}
-		h.fh.Update(0, func(fop *forest.Op) { fn(&Op{fop: fop}) })
-		return
+	if h.fh.Forest().Shards() > 1 {
+		panic("repro: Update needs a routing key on a sharded tree; use UpdateShard(k, fn)")
 	}
-	trees.Atomic(h.t.m, h.th, func(tx *stm.Tx) { fn(&Op{t: h.t, tx: tx}) })
+	h.fh.Update(0, fn)
 }
 
 // UpdateShard runs fn as one atomic transaction on the shard owning the
 // routing key k; every key touched inside fn must live on that shard (the
 // Op methods panic otherwise — check with Tree.SameShard first). On an
 // unsharded tree, UpdateShard is exactly Update.
-func (h *Handle) UpdateShard(k uint64, fn func(op *Op)) {
-	if h.fh != nil {
-		h.fh.Update(k, func(fop *forest.Op) { fn(&Op{fop: fop}) })
-		return
-	}
-	h.Update(fn)
-}
+func (h *Handle) UpdateShard(k uint64, fn func(op *Op)) { h.fh.Update(k, fn) }
 
-// Op exposes the tree operations inside a Handle.Update / UpdateShard
-// transaction.
-type Op struct {
-	t   *Tree
-	tx  *stm.Tx
-	fop *forest.Op // sharded path
-}
-
-// Insert maps k to v within the transaction; false when present.
-func (o *Op) Insert(k, v uint64) bool {
-	if o.fop != nil {
-		return o.fop.Insert(k, v)
-	}
-	return o.t.m.InsertTxA(o.tx, k, v)
-}
-
-// Delete removes k within the transaction; false when absent.
-func (o *Op) Delete(k uint64) bool {
-	if o.fop != nil {
-		return o.fop.Delete(k)
-	}
-	return o.t.m.DeleteTx(o.tx, k)
-}
-
-// Get returns the value at k within the transaction.
-func (o *Op) Get(k uint64) (uint64, bool) {
-	if o.fop != nil {
-		return o.fop.Get(k)
-	}
-	return o.t.m.GetTx(o.tx, k)
-}
-
-// Contains reports membership within the transaction.
-func (o *Op) Contains(k uint64) bool {
-	if o.fop != nil {
-		return o.fop.Contains(k)
-	}
-	return o.t.m.ContainsTx(o.tx, k)
-}
+// Op exposes the tree operations (Insert, Delete, Get, Contains) inside a
+// Handle.Update / UpdateShard transaction; every key must live on the shard
+// the transaction was routed to.
+type Op = forest.Op

@@ -294,8 +294,8 @@ func TestPublicAPIRangeAndAscend(t *testing.T) {
 }
 
 // TestCloseStatsRace hammers Stats/MaintenanceStats concurrently with
-// repeated Close on both the single-domain and sharded paths: the maint
-// flag must not be a data race (run under -race), double Close must be a
+// repeated Close on unsharded and sharded trees: the maintenance flag
+// must not be a data race (run under -race), double Close must be a
 // no-op, and maintenance must be stopped for good once everything returns.
 func TestCloseStatsRace(t *testing.T) {
 	for _, shards := range []int{1, 8} {
